@@ -34,6 +34,7 @@ from .operators import (
 )
 from .phantoms import PhantomSpec, make_phantom, mri_phantom
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule, TvProxDenoiser, make_denoiser
+from .reductions import norm
 from .solver import VariantSpec, run
 from .spectral import ShConfig, SmoothingKernel
 
@@ -285,7 +286,7 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int,
             seed=seed,
             psnr=psnr(recon, truth, cfg.psnr_peak),
             ssim=ssim(recon, truth, data_range=cfg.psnr_peak),
-            data_residual=float(np.linalg.norm(op.apply(recon) - y)),
+            data_residual=norm(op.apply(recon) - y),
             wall_time=time.perf_counter() - start,
         )
         if write_outputs:

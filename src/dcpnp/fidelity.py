@@ -4,6 +4,11 @@ Minimizes ||Ax - y||^2 + lam * ||x - (z - u)||^2 through the regularized
 normal equations (A'A + lam I) x = A'y + lam (z - u), warm-started from
 z - u. Plain CG, no preconditioner: the fixed iteration budgets are part
 of the controlled solver comparison and must not be perturbed.
+
+CG's inner products and norms come from `reductions`, which sums them in
+one fixed order on a single BLAS thread: results do not depend on the BLAS
+thread count, and no BLAS worker wakes up to spin on the CPUs the threaded
+Radon matvec needs.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import LinearOperator
+from .reductions import inner, norm
 
 
 @dataclass(frozen=True)
@@ -38,11 +44,6 @@ class CgResult:
     converged: bool
     iterations: int
     residual_norms: list[float] = field(default_factory=list)
-
-
-def _vdot(a: np.ndarray, b: np.ndarray) -> float:
-    # Hermitian inner product; real part is exact for the SPD operators here.
-    return float(np.real(np.vdot(a, b)))
 
 
 def prox_data_consistency(
@@ -76,25 +77,25 @@ def prox_data_consistency(
         return op.adjoint(op.apply(v)) + lam * v
 
     b = op.adjoint(y) + lam * warm
-    b_norm = float(np.linalg.norm(b))
+    b_norm = norm(b)
     threshold = 0.5 * cfg.tol * b_norm
 
     x = warm.copy()
     r = b - normal(x)
     p = r.copy()
-    rs = _vdot(r, r)
+    rs = inner(r, r)
     history = [float(np.sqrt(rs))]
     converged = history[0] <= threshold
     iters = 0
     while not converged and iters < cfg.max_iters:
         np_p = normal(p)
-        curvature = _vdot(p, np_p)
+        curvature = inner(p, np_p)
         if curvature <= 0.0:
             break  # numerical breakdown; report non-converged
         alpha = rs / curvature
         x = x + alpha * p
         r = r - alpha * np_p
-        rs_next = _vdot(r, r)
+        rs_next = inner(r, r)
         history.append(float(np.sqrt(rs_next)))
         iters += 1
         if history[-1] <= threshold:

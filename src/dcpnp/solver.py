@@ -26,6 +26,7 @@ from .grid_core import sample_white_gaussian
 from .metrics import psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
+from .reductions import norm
 from .spectral import ShConfig, SpectralReport, homogenize, naive_inject
 
 DIVERGENCE_LIMIT = 1e12
@@ -183,10 +184,10 @@ def dual_update(state: SolverState) -> SolverState:
 
 def _check_state_finite(state: SolverState, trace: IterationTrace, k: int) -> None:
     for name, grid in (("x", state.x), ("z", state.z), ("u", state.u)):
-        norm = float(np.linalg.norm(grid))
-        if not math.isfinite(norm) or norm > DIVERGENCE_LIMIT:
+        size = norm(grid)
+        if not math.isfinite(size) or size > DIVERGENCE_LIMIT:
             raise SolverDivergence(
-                f"iteration {k}: state {name} diverged (norm {norm:.3e})", trace
+                f"iteration {k}: state {name} diverged (norm {size:.3e})", trace
             )
 
 
@@ -243,9 +244,9 @@ def run(
             cg_converged=cg_res.converged,
             cg_residual=cg_res.residual_norms[-1],
             cg_residual_history=list(cg_res.residual_norms),
-            data_residual=float(np.linalg.norm(op.apply(x) - y)),
-            consensus_residual=float(np.linalg.norm(x - z)),
-            dual_norm=float(np.linalg.norm(state.u)),
+            data_residual=norm(op.apply(x) - y),
+            consensus_residual=norm(x - z),
+            dual_norm=norm(state.u),
             psnr=psnr(z, ground_truth, psnr_peak) if ground_truth is not None else None,
         )
         if report is not None:

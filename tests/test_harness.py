@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import math
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dcpnp
 from dcpnp import cli
 from dcpnp.experiment import (
     ExperimentConfig,
@@ -246,6 +250,88 @@ class TestRunExperiment:
         results = sweep_nfe(cfg, step_counts=(2, 3),
                             variants=("dual=on,inject=sh",), write_outputs=False)
         assert set(results) == {("dual=on,inject=sh", 2), ("dual=on,inject=sh", 3)}
+
+
+# Builds a Radon operator and applies it, so the parent holds a live matvec
+# thread pool, then runs the ablation grid of the config file in argv[1].
+_ABLATE_AFTER_APPLY = """
+import sys
+import numpy as np
+from dcpnp.experiment import ablate, build_operator, load_config
+cfg = load_config(sys.argv[1])
+op = build_operator(cfg)
+op.adjoint(op.apply(np.ones(op.domain_shape)))
+ablate(cfg)
+"""
+
+
+def _run_python(script: str, *args: str, env_update=None, drop_env=(), timeout: float = 120.0):
+    """Run a Python snippet against this dcpnp in a new process group; on timeout
+    kill the whole group (a hung worker pool included) and fail."""
+    env = dict(os.environ)
+    for name in drop_env:
+        env.pop(name, None)
+    env.update(env_update or {})
+    src = str(Path(dcpnp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-c", script, *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"subprocess did not finish within {timeout:.0f} s")
+    assert proc.returncode == 0, err
+
+
+def _ablate_in_subprocess(cfg, tmp_path, name: str, **kwargs) -> bytes:
+    cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / name))
+    path = tmp_path / f"{name}.ini"
+    write_config(path, cfg)
+    _run_python(_ABLATE_AFTER_APPLY, str(path), **kwargs)
+    return (Path(cfg.out_dir) / "metrics.csv").read_bytes()
+
+
+# The fast ablation config at 128 px: grids of 16384 pixels are large enough
+# for OpenBLAS to run a dot product on several threads.
+def blas_sized_config(tmp_path):
+    return tiny_config(tmp_path, image_side=128, detector_bins=0, steps=10, cg_iters=8)
+
+
+# sha256 of that config's metrics.csv: the bytes earlier versions wrote with
+# two OpenBLAS threads. It changes only when a change is meant to alter the
+# reconstructions, and such a change says so. The bytes also depend on the
+# BLAS's dot kernel, so another CPU family or BLAS may need a new pin.
+BLAS_SIZED_METRICS_SHA256 = "0e1111bf5579924d3dd6486a019f0c8f1f0a053caf6cf72d2773ba6116b1eee5"
+
+
+class TestParallelDeterminism:
+    def test_pooled_grid_after_threaded_apply_matches_serial(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        serial = dataclasses.replace(cfg, out_dir=str(tmp_path / "serial"))
+        ablate(serial)
+        pooled = _ablate_in_subprocess(dataclasses.replace(cfg, workers=2), tmp_path, "pooled")
+        assert pooled == (Path(serial.out_dir) / "metrics.csv").read_bytes()
+
+    @pytest.fixture(scope="class")
+    def blas_runs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("blas")
+        cfg = blas_sized_config(tmp_path)
+        one = _ablate_in_subprocess(cfg, tmp_path, "one-thread",
+                                    env_update={"OPENBLAS_NUM_THREADS": "1"})
+        default = _ablate_in_subprocess(cfg, tmp_path, "default-threads",
+                                        drop_env=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        return one, default
+
+    def test_metrics_independent_of_blas_threads(self, blas_runs):
+        one, default = blas_runs
+        assert one == default
+
+    def test_metrics_hash_pinned(self, blas_runs):
+        one, _ = blas_runs
+        assert hashlib.sha256(one).hexdigest() == BLAS_SIZED_METRICS_SHA256
 
 
 class TestCli:

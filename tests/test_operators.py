@@ -1,6 +1,12 @@
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dcpnp import operators
 from dcpnp.grid_core import make_rng
 from dcpnp.metrics import psnr
 from dcpnp.operators import (
@@ -174,6 +180,89 @@ class TestRadon:
             radon_forward(np.zeros((16, 16)), geo)
         with pytest.raises(ValueError):
             radon_adjoint(np.zeros((3, 3)), geo)
+
+
+class TestThreadedRadon:
+    GEOMETRIES = {
+        "sparse-view": lambda: make_sparse_view_geometry(20, 48),
+        "limited-angle": lambda: make_limited_angle_geometry(90, 90.0, 48),
+    }
+
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
+    def test_blocked_matvec_bitwise_equal_to_matrix(self, monkeypatch, kind, n_cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        op = RadonOperator(self.GEOMETRIES[kind]())
+        assert len(op._fwd_blocks.blocks) == n_cpus
+        assert len(op._adj_blocks.blocks) == n_cpus
+        rng = make_rng(7)
+        x = rng.standard_normal(op.domain_shape)
+        y = rng.standard_normal(op.range_shape)
+        assert np.array_equal(op.apply(x).ravel(), op._fwd @ x.ravel())
+        assert np.array_equal(op.adjoint(y).ravel(), op._adj @ y.ravel())
+        assert dot_test(op, make_rng(8)) <= 1e-10
+
+    def test_concurrent_callers_get_their_own_results(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        op = RadonOperator(make_sparse_view_geometry(20, 48))
+        inputs = [make_rng(seed).standard_normal(op.domain_shape) for seed in range(8)]
+        expected = [op._adj @ (op._fwd @ x.ravel()) for x in inputs]
+
+        def normal_repeatedly(x):
+            return [op.adjoint(op.apply(x)).ravel() for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(inputs)) as callers:
+                results = list(callers.map(normal_repeatedly, inputs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert all(np.array_equal(g, want) for g in got)
+
+    def test_blocks_are_views_with_balanced_nnz(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        op = RadonOperator(make_limited_angle_geometry(90, 90.0, 48))
+        for whole, blocked in ((op._fwd, op._fwd_blocks), (op._adj, op._adj_blocks)):
+            for block in blocked.blocks:
+                assert np.shares_memory(block.data, whole.data)
+                assert np.shares_memory(block.indices, whole.indices)
+            counts = [len(block.data) for block in blocked.blocks]
+            assert sum(counts) == whole.nnz
+            assert max(counts) - min(counts) <= 2 * np.diff(whole.indptr).max()
+
+    def test_split_more_blocks_than_rows(self):
+        matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0],
+                                         [0.0, 5.0, 6.0]]))
+        blocks = operators._split_rows(matrix, 50)
+        assert 1 <= len(blocks) <= matrix.shape[0]
+        sizes = [block.n_rows for block in blocks]
+        assert min(sizes) >= 1
+        assert [block.first for block in blocks] == list(np.cumsum([0] + sizes[:-1]))
+        stacked = sp.vstack([sp.csr_matrix((b.data, b.indices, b.indptr), shape=(b.n_rows, 3))
+                             for b in blocks])
+        assert np.array_equal(stacked.toarray(), matrix.toarray())
+
+    def test_split_single_block(self):
+        matrix = RadonOperator(make_sparse_view_geometry(6, 24))._fwd
+        [block] = operators._split_rows(matrix, 1)
+        assert block.first == 0 and block.n_rows == matrix.shape[0]
+        assert np.shares_memory(block.data, matrix.data)
+        assert np.shares_memory(block.indices, matrix.indices)
+        assert np.array_equal(block.indptr, matrix.indptr)
+
+    def test_single_cpu_multiplies_directly(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a single-CPU operator must not use the thread pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(operators, "_matvec_pool", no_pool)
+        op = RadonOperator(make_sparse_view_geometry(20, 32))
+        x = make_rng(9).standard_normal(op.domain_shape)
+        y = make_rng(10).standard_normal(op.range_shape)
+        assert np.array_equal(op.apply(x).ravel(), op._fwd @ x.ravel())
+        assert np.array_equal(op.adjoint(y).ravel(), op._adj @ y.ravel())
 
 
 class TestFbp:
