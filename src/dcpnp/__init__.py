@@ -34,15 +34,9 @@ from .operators import (
     RadonGeometry,
     RadonOperator,
     dot_test,
-    fbp,
-    fourier_mask_apply,
-    load_mask,
     make_cartesian_mask,
     make_limited_angle_geometry,
     make_sparse_view_geometry,
-    radon_adjoint,
-    radon_forward,
-    save_mask,
 )
 from .phantoms import PhantomSpec, flat_disk, make_phantom, mri_phantom, random_ellipses, shepp_logan
 from .priors import (
@@ -53,14 +47,9 @@ from .priors import (
     IdentityDenoiser,
     NoiseSchedule,
     TvProxDenoiser,
-    make_denoiser,
-    schedule_sigma,
     tweedie_consistency_check,
 )
 from .solver import (
-    ABLATION_GRID,
-    FULL_METHOD,
-    HQS_BASELINE,
     IterationTrace,
     SolverDivergence,
     SolverState,
@@ -74,7 +63,6 @@ from .spectral import (
     ShConfig,
     SmoothingKernel,
     SpectralReport,
-    dominance_report,
     estimate_psd,
     estimate_residual,
     homogenize,

@@ -8,6 +8,9 @@ Subcommands:
   dot-test   adjoint exactness of the shipped operators
   whiteness  Monte-Carlo check of the spectral whitening property
 
+certify and whiteness call the same library functions, with the same
+bounds, as the acceptance suite's certification and whitening criteria.
+
 Exit status is 0 only if every run completed and every enabled assertion
 passed.
 """
@@ -22,9 +25,8 @@ import numpy as np
 
 from . import experiment
 from .experiment import default_config, load_config
-from .grid_core import make_rng, sample_white_gaussian
+from .grid_core import make_rng
 from .operators import (
-    DenseOperator,
     FourierMaskOperator,
     RadonOperator,
     dot_test,
@@ -32,9 +34,8 @@ from .operators import (
     make_limited_angle_geometry,
     make_sparse_view_geometry,
 )
-from .priors import GaussianPriorDenoiser
-from .solver import certify_fixed_point
-from .spectral import ShConfig, SmoothingKernel, estimate_psd, homogenize, naive_inject
+from .solver import certification_instance, certify_pair
+from .spectral import whitening_statistics
 
 
 def _build_config(args) -> experiment.ExperimentConfig:
@@ -102,21 +103,10 @@ def cmd_sweep_nfe(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    rng = make_rng(args.seed if args.seed is not None else 0)
-    n = args.size
     failures = 0
     for instance in range(args.instances):
-        matrix = rng.standard_normal((n, n)) / math.sqrt(n)
-        op = DenseOperator(matrix)
-        truth = rng.standard_normal((n, 1))
-        y = op.apply(truth)
-        mu0 = rng.standard_normal((n, 1))
-        denoiser = GaussianPriorDenoiser(mu0, tau=1.0)
-        on = certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5,
-                                 dual_coupling=True, tol=args.tol, max_iters=args.max_iters)
-        off = certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5,
-                                  dual_coupling=False, tol=args.tol, max_iters=args.max_iters)
-        ratio = off.error_vs_optimum / max(on.error_vs_optimum, 1e-300)
+        on, off, ratio = certify_pair(*certification_instance(args.seed + instance, args.size),
+                                      tol=args.tol, max_iters=args.max_iters)
         good = (on.converged and on.consensus < args.tol and on.stationarity < args.tol
                 and off.prediction_error is not None and off.prediction_error < args.tol
                 and ratio >= 10.0)
@@ -145,35 +135,10 @@ def cmd_dot_test(args) -> int:
 
 
 def cmd_whiteness(args) -> int:
-    side, sigma, n_seeds = args.size, 1.0, args.seeds
-    target = sigma**2 * side * side
-    cfg = ShConfig(SmoothingKernel(7), 0.0)
-    acc = np.zeros((side, side))
-    for seed in range(n_seeds):
-        rng = make_rng(seed)
-        r = sample_white_gaussian(rng, side, side, 0.5 * sigma)
-        v_tilde, _ = homogenize(r, np.zeros_like(r), sigma, cfg, rng)
-        acc += estimate_psd(v_tilde, cfg.kernel)
-    mean_psd = acc / n_seeds
-    lo, hi = float(mean_psd.min() / target), float(mean_psd.max() / target)
+    lo, hi, ratio = whitening_statistics(args.size, args.seeds)
     band_ok = 0.9 <= lo and hi <= 1.1
-    print(f"mean effective PSD / target over {n_seeds} seeds: min {lo:.4f} max {hi:.4f} "
+    print(f"mean effective PSD / target over {args.seeds} seeds: min {lo:.4f} max {hi:.4f} "
           f"[{'ok' if band_ok else 'FAIL'}]")
-
-    xs = np.arange(side)
-    streak = np.zeros((side, side))
-    for fx, fy in ((3, 11), (17, 5), (9, 23)):
-        streak += np.cos(2 * np.pi * (fx * xs[None, :] + fy * xs[:, None]) / side)
-    streak *= 0.12
-    cv_sh, cv_naive = [], []
-    for seed in range(n_seeds):
-        rng = make_rng(10_000 + seed)
-        v_tilde, report = homogenize(streak, np.zeros_like(streak), sigma, cfg, rng)
-        cv_sh.append(report.flatness_after)
-        injected = naive_inject(streak, sigma, rng)
-        eff = estimate_psd(injected, cfg.kernel)
-        cv_naive.append(float(np.std(eff) / np.mean(eff)))
-    ratio = float(np.mean(cv_sh) / np.mean(cv_naive))
     flat_ok = ratio < 0.5
     print(f"flatness CV ratio homogenized/naive on streaks: {ratio:.3f} "
           f"[{'ok' if flat_ok else 'FAIL'}]")

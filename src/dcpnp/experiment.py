@@ -33,7 +33,7 @@ from .operators import (
     make_sparse_view_geometry,
 )
 from .phantoms import PhantomSpec, make_phantom, mri_phantom
-from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule, TvProxDenoiser, make_denoiser
+from .priors import Denoiser, GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
 from .reductions import norm
 from .solver import VariantSpec, run
 from .spectral import ShConfig, SmoothingKernel
@@ -91,6 +91,7 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         for label in self.variants:
             VariantSpec.from_label(label)
+        self.make_denoiser()  # an unknown kind fails here, not inside every row
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_max, self.sigma_min, self.steps, self.spacing)
@@ -102,12 +103,16 @@ class ExperimentConfig:
         return ShConfig(SmoothingKernel(self.sh_window), self.sh_eps)
 
     def make_denoiser(self) -> Denoiser:
+        """The denoiser `denoiser` names: tv-prox, gaussian-prior or identity."""
         if self.denoiser == "tv-prox":
             return TvProxDenoiser(self.tv_weight, self.tv_iters)
         if self.denoiser == "gaussian-prior":
             zero = np.zeros((self.image_side, self.image_side))
             return GaussianPriorDenoiser(zero, self.gaussian_tau)
-        return make_denoiser(self.denoiser)
+        if self.denoiser == "identity":
+            return IdentityDenoiser()
+        raise ValueError(f"unknown denoiser {self.denoiser!r}; a config can select "
+                         "tv-prox, gaussian-prior or identity")
 
 
 # task-specific overrides applied on top of the dataclass defaults
@@ -168,31 +173,30 @@ def load_config(path, **overrides) -> ExperimentConfig:
     return default_config(task, **merged)
 
 
-_SECTIONS = {
-    "experiment": ("task", "phantom", "image_side", "measurement_noise_std",
-                   "variants", "seeds", "out_dir", "workers", "psnr_peak"),
-    "geometry": ("n_views", "max_angle", "detector_bins", "detector_pitch",
-                 "af", "center_lines"),
-    "schedule": ("steps", "sigma_max", "sigma_min", "spacing"),
-    "denoiser": ("denoiser", "tv_weight", "tv_iters", "gaussian_tau"),
-    "fidelity": ("cg_iters", "cg_tol", "lam0"),
-    "spectral": ("sh_window", "sh_eps"),
+# config.resolved section names, keyed by each section's first field; the
+# ExperimentConfig fields are declared in section order.
+_SECTION_STARTS = {
+    "task": "experiment",
+    "n_views": "geometry",
+    "steps": "schedule",
+    "denoiser": "denoiser",
+    "cg_iters": "fidelity",
+    "sh_window": "spectral",
 }
 
 
 def write_config(path, cfg: ExperimentConfig) -> None:
     lines = []
-    for section, keys in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            value = getattr(cfg, key)
-            if key == "variants":
-                value = "; ".join(value)
-            elif key == "seeds":
-                value = " ".join(str(s) for s in value)
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines))
+    for f in dataclasses.fields(cfg):
+        if f.name in _SECTION_STARTS:
+            lines.append(f"\n[{_SECTION_STARTS[f.name]}]")
+        value = getattr(cfg, f.name)
+        if f.name == "variants":
+            value = "; ".join(value)
+        elif f.name == "seeds":
+            value = " ".join(str(s) for s in value)
+        lines.append(f"{f.name} = {value}")
+    Path(path).write_text("\n".join(lines).lstrip("\n") + "\n")
 
 
 # --- measurement simulation ---------------------------------------------------

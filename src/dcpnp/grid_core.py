@@ -24,20 +24,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_real_grid(a) -> np.ndarray:
-    """Validate and return a 2D float64 grid with finite entries."""
-    g = np.asarray(a, dtype=np.float64)
-    _check_grid(g)
-    return g
-
-
-def as_complex_grid(a) -> np.ndarray:
-    """Validate and return a 2D complex128 grid with finite entries."""
-    g = np.asarray(a, dtype=np.complex128)
-    _check_grid(g)
-    return g
-
-
 def _check_grid(g: np.ndarray) -> None:
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2D grid, got shape {g.shape}")
@@ -61,16 +47,6 @@ def inverse_dft(G: np.ndarray) -> np.ndarray:
     G = np.asarray(G)
     _check_grid(G)
     return np.fft.ifft2(G)
-
-
-def is_hermitian_symmetric(G: np.ndarray, rel_tol: float = 1e-10) -> bool:
-    """True if G(w) == conj(G(-w mod N)) within rel_tol of the grid's peak magnitude."""
-    G = np.asarray(G)
-    mirrored = np.conj(G[(-np.arange(G.shape[0])) % G.shape[0]][:, (-np.arange(G.shape[1])) % G.shape[1]])
-    scale = np.max(np.abs(G))
-    if scale == 0.0:
-        return True
-    return bool(np.max(np.abs(G - mirrored)) <= rel_tol * scale)
 
 
 def sample_white_gaussian(rng: np.random.Generator, h: int, w: int, std: float) -> np.ndarray:

@@ -336,53 +336,6 @@ class RadonOperator(LinearOperator):
         return (self._adj_blocks @ y.ravel()).reshape(self.domain_shape)
 
 
-def radon_forward(img: np.ndarray, geo: RadonGeometry) -> np.ndarray:
-    """One-shot sinogram of `img`; prefer RadonOperator for repeated applies."""
-    return RadonOperator(geo).apply(img)
-
-
-def radon_adjoint(sino: np.ndarray, geo: RadonGeometry) -> np.ndarray:
-    """One-shot back-projection (exact transpose of radon_forward)."""
-    return RadonOperator(geo).adjoint(sino)
-
-
-def _ramp_filter(n: int, pitch: float, apodization: str) -> np.ndarray:
-    # Sampled spatial-domain ramp response rather than |f| sampled in
-    # frequency: its DFT keeps the small positive DC term that removes the
-    # mean bias of a naive ramp.
-    kernel = np.zeros(n)
-    kernel[0] = 0.25
-    odd = np.arange(1, n // 2 + 1, 2)
-    kernel[odd] = -1.0 / (np.pi * odd) ** 2
-    kernel[-odd] = -1.0 / (np.pi * odd) ** 2
-    ramp = np.real(np.fft.fft(kernel)) / pitch
-    if apodization == "hann":
-        freqs = np.fft.fftfreq(n, d=pitch)
-        ramp = ramp * 0.5 * (1.0 + np.cos(np.pi * freqs / (0.5 / pitch)))
-    elif apodization != "ramp":
-        raise ValueError(f"unknown apodization {apodization!r}")
-    return ramp
-
-
-def fbp(sino: np.ndarray, geo: RadonGeometry, apodization: str = "ramp",
-        op: RadonOperator | None = None) -> np.ndarray:
-    """Filtered back-projection: per-row frequency-domain ramp filter, then
-    the transpose back-projector, scaled by pi / n_views.
-
-    Classical pseudo-inverse baseline and optional solver initialization.
-    """
-    sino = np.asarray(sino, dtype=np.float64)
-    if sino.shape != (geo.n_views, geo.detector_bins):
-        raise ValueError(f"sinogram shape {sino.shape} does not match geometry")
-    n_pad = 1 << max(6, int(math.ceil(math.log2(2 * geo.detector_bins))))
-    ramp = _ramp_filter(n_pad, geo.detector_pitch, apodization)
-    spectrum = np.fft.fft(sino, n=n_pad, axis=1) * ramp[None, :]
-    filtered = np.fft.ifft(spectrum, axis=1).real[:, : geo.detector_bins]
-    operator = op if op is not None else RadonOperator(geo)
-    scale = math.pi * geo.detector_pitch / geo.n_views
-    return scale * operator.adjoint(filtered)
-
-
 # --- masked Fourier encoding -------------------------------------------------
 
 
@@ -436,26 +389,6 @@ def make_cartesian_mask(h: int, w: int, af: int, center_lines: int = 16) -> Cart
     return CartesianMask(h, w, keep, af, center_lines)
 
 
-def save_mask(path, mask: CartesianMask) -> None:
-    """Mask file: magic "DCPM", h/w/af/center_lines as little-endian uint32,
-    then the keep flags as a packed bit vector (little bit order)."""
-    with open(path, "wb") as fh:
-        fh.write(b"DCPM")
-        fh.write(np.array([mask.height, mask.width, mask.af, mask.center_lines],
-                          dtype="<u4").tobytes())
-        fh.write(np.packbits(mask.keep, bitorder="little").tobytes())
-
-
-def load_mask(path) -> CartesianMask:
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"DCPM":
-            raise ValueError("bad mask magic bytes")
-        h, w, af, center = np.frombuffer(fh.read(16), dtype="<u4")
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    keep = np.unpackbits(packed, count=int(w), bitorder="little").astype(bool)
-    return CartesianMask(int(h), int(w), keep, int(af), int(center))
-
-
 class FourierMaskOperator(LinearOperator):
     """Masked unitary Fourier encoding: y = M * F(x) with F'F = I.
 
@@ -482,11 +415,6 @@ class FourierMaskOperator(LinearOperator):
         y = np.asarray(y, dtype=np.complex128)
         self._check_range(y)
         return np.fft.ifft2(self._keep * y) * self._norm
-
-
-def fourier_mask_apply(img: np.ndarray, mask: CartesianMask) -> np.ndarray:
-    """One-shot masked k-space of `img` under the unitary scaling."""
-    return FourierMaskOperator(mask).apply(img)
 
 
 # --- test and certification operators ----------------------------------------

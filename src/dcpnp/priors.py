@@ -40,25 +40,21 @@ class NoiseSchedule:
             raise ValueError(f"unknown spacing {self.spacing!r}")
 
     def sigma(self, k: int) -> float:
-        return schedule_sigma(self, k)
+        """Noise level at outer iteration k; endpoints are sigma_max and sigma_min."""
+        if not 0 <= k < self.steps:
+            raise ValueError(f"iteration {k} outside [0, {self.steps})")
+        if self.steps == 1:
+            return self.sigma_max
+        frac = k / (self.steps - 1)
+        if self.spacing == "linear":
+            return self.sigma_max + frac * (self.sigma_min - self.sigma_max)
+        return float(self.sigma_max * (self.sigma_min / self.sigma_max) ** frac)
 
     def timestep(self, k: int) -> int:
         """Descending pseudo-timestep passed to denoisers (steps - k)."""
         if not 0 <= k < self.steps:
             raise ValueError(f"iteration {k} outside [0, {self.steps})")
         return self.steps - k
-
-
-def schedule_sigma(sched: NoiseSchedule, k: int) -> float:
-    """Noise level at outer iteration k; endpoints are sigma_max and sigma_min."""
-    if not 0 <= k < sched.steps:
-        raise ValueError(f"iteration {k} outside [0, {sched.steps})")
-    if sched.steps == 1:
-        return sched.sigma_max
-    frac = k / (sched.steps - 1)
-    if sched.spacing == "linear":
-        return sched.sigma_max + frac * (sched.sigma_min - sched.sigma_max)
-    return float(sched.sigma_max * (sched.sigma_min / sched.sigma_max) ** frac)
 
 
 class Denoiser:
@@ -72,6 +68,8 @@ class Denoiser:
         out = self._denoise(np.asarray(v), float(sigma), int(t))
         if out.shape != np.shape(v):
             raise DenoiserError(f"denoiser changed grid shape {np.shape(v)} -> {out.shape}")
+        if np.iscomplexobj(v) and not np.iscomplexobj(out):
+            raise DenoiserError("denoiser returned a real grid for a complex input")
         return out
 
     def _denoise(self, v: np.ndarray, sigma: float, t: int) -> np.ndarray:
@@ -222,18 +220,6 @@ class ExternalDenoiser(Denoiser):
             if not out_path.exists():
                 raise DenoiserError("external denoiser produced no output grid")
             return grid_core.load_grid(out_path)
-
-
-def make_denoiser(kind: str, **params) -> Denoiser:
-    if kind == "identity":
-        return IdentityDenoiser()
-    if kind == "gaussian-prior":
-        return GaussianPriorDenoiser(params["mu0"], params["tau"])
-    if kind == "tv-prox":
-        return TvProxDenoiser(params.get("weight", 0.5), params.get("iters", 50))
-    if kind == "external":
-        return ExternalDenoiser(params["command"])
-    raise ValueError(f"unknown denoiser kind {kind!r}")
 
 
 def tweedie_consistency_check(d: Denoiser, v: np.ndarray, sigma: float) -> float:

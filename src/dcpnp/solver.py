@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fidelity import CgConfig, prox_data_consistency
-from .grid_core import sample_white_gaussian
+from .grid_core import make_rng, sample_white_gaussian
 from .metrics import psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
@@ -66,7 +66,10 @@ class VariantSpec:
 
     @classmethod
     def from_label(cls, label: str) -> "VariantSpec":
-        parts = dict(item.split("=", 1) for item in label.split(","))
+        items = label.split(",")
+        if not all("=" in item for item in items):
+            raise ValueError(f"variant label {label!r} is not of the form key=value,...")
+        parts = dict(item.split("=", 1) for item in items)
         unknown = set(parts) - {"dual", "inject"}
         if unknown:
             raise ValueError(f"unknown variant keys {sorted(unknown)}")
@@ -76,22 +79,11 @@ class VariantSpec:
         return cls(dual_coupling=dual == "on", injection=parts.get("inject", "sh"))
 
 
-FULL_METHOD = VariantSpec(True, "sh")
-DUAL_ONLY = VariantSpec(True, "none")
-NAIVE_INJECTION = VariantSpec(True, "naive")
-HQS_BASELINE = VariantSpec(False, "none")
-HQS_WITH_SH = VariantSpec(False, "sh")
-
-ABLATION_GRID = (HQS_BASELINE, HQS_WITH_SH, DUAL_ONLY, FULL_METHOD)
-
-
 @dataclass
 class SolverState:
     x: np.ndarray
     z: np.ndarray
     u: np.ndarray
-    k: int = 0
-    sigma: float = 0.0
 
 
 @dataclass
@@ -110,7 +102,6 @@ class IterationRecord:
     flatness_before: float | None = None
     flatness_after: float | None = None
     peak_to_floor: float | None = None
-    cg_residual_history: list[float] | None = None  # kept in memory, not in the CSV
 
 
 @dataclass
@@ -174,7 +165,7 @@ def initialize(
     else:
         z0 = sample_white_gaussian(rng, h, w, init_noise_std)
     u0 = np.zeros_like(z0)
-    return SolverState(x=x0, z=z0, u=u0, k=0, sigma=math.nan)
+    return SolverState(x=x0, z=z0, u=u0)
 
 
 def dual_update(state: SolverState) -> SolverState:
@@ -228,11 +219,9 @@ def run(
             else:
                 v_tilde = v
             z = denoiser.denoise(v_tilde, sigma, t)
-            state = SolverState(x=x, z=z, u=state.u, k=k, sigma=sigma)
+            state = SolverState(x=x, z=z, u=state.u)
             if variant.dual_coupling:
                 state = dual_update(state)
-        except SolverDivergence:
-            raise
         except Exception as exc:  # attach the iteration index for diagnosis
             raise SolverStepError(k, exc) from exc
 
@@ -243,7 +232,6 @@ def run(
             cg_iterations=cg_res.iterations,
             cg_converged=cg_res.converged,
             cg_residual=cg_res.residual_norms[-1],
-            cg_residual_history=list(cg_res.residual_norms),
             data_residual=norm(op.apply(x) - y),
             consensus_residual=norm(x - z),
             dual_norm=norm(state.u),
@@ -283,9 +271,7 @@ class FixedPointCertificate:
     dual_balance: float
     error_vs_optimum: float
     prediction_error: float | None
-    lam_effective: float
     x: np.ndarray
-    optimum: np.ndarray
 
 
 def _dense_normal_solve(op: LinearOperator, rhs: np.ndarray, lam: float) -> np.ndarray:
@@ -379,7 +365,30 @@ def certify_fixed_point(
         dual_balance=dual_balance,
         error_vs_optimum=error,
         prediction_error=prediction_error,
-        lam_effective=lam_eff,
         x=x,
-        optimum=optimum,
     )
+
+
+def certification_instance(seed: int, n: int = 16):
+    """Convex instance (op, y, denoiser) drawn from make_rng(seed): an n x n
+    Gaussian operator scaled by 1/sqrt(n), clean measurements of a Gaussian
+    truth, and the Gaussian-prior denoiser (tau = 1) around a random mean."""
+    rng = make_rng(seed)
+    op = DenseOperator(rng.standard_normal((n, n)) / math.sqrt(n))
+    y = op.apply(rng.standard_normal((n, 1)))
+    return op, y, GaussianPriorDenoiser(rng.standard_normal((n, 1)), tau=1.0)
+
+
+def certify_pair(
+    op: LinearOperator,
+    y: np.ndarray,
+    denoiser: GaussianPriorDenoiser,
+    tol: float,
+    max_iters: int,
+) -> tuple[FixedPointCertificate, FixedPointCertificate, float]:
+    """Dual-on and dual-off certificates of one instance at lam = 1, sigma = 0.5,
+    plus the dual-off bias over the dual-on error (how much the dual removes)."""
+    on, off = (certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5, dual_coupling=dual,
+                                   tol=tol, max_iters=max_iters)
+               for dual in (True, False))
+    return on, off, off.error_vs_optimum / max(on.error_vs_optimum, 1e-300)

@@ -10,7 +10,7 @@ import pytest
 
 from dcpnp.experiment import ExperimentConfig, ablate, run_experiment
 from dcpnp.fidelity import CgConfig, prox_data_consistency
-from dcpnp.grid_core import make_rng, sample_white_gaussian
+from dcpnp.grid_core import make_rng
 from dcpnp.operators import (
     DenseOperator,
     FourierMaskOperator,
@@ -21,14 +21,8 @@ from dcpnp.operators import (
     make_sparse_view_geometry,
 )
 from dcpnp.priors import GaussianPriorDenoiser, tweedie_consistency_check
-from dcpnp.solver import certify_fixed_point
-from dcpnp.spectral import (
-    ShConfig,
-    SmoothingKernel,
-    estimate_psd,
-    homogenize,
-    naive_inject,
-)
+from dcpnp.solver import certification_instance, certify_pair
+from dcpnp.spectral import whitening_statistics
 
 
 class Criterion:
@@ -99,55 +93,21 @@ def test_tweedie_identity():
 
 def test_spectral_whitening():
     with Criterion("spectral whitening (100-seed Monte Carlo)", 30.0) as c:
-        side, sigma, n_seeds = 64, 1.0, 100
-        cfg = ShConfig(SmoothingKernel(7), 0.0)
-        target = sigma**2 * side * side
-
-        acc = np.zeros((side, side))
-        for seed in range(n_seeds):
-            rng = make_rng(seed)
-            residual = sample_white_gaussian(rng, side, side, 0.5 * sigma)
-            homogenized, _ = homogenize(residual, np.zeros_like(residual), sigma, cfg, rng)
-            acc += estimate_psd(homogenized, cfg.kernel)
-        mean_psd = acc / n_seeds
-        lo = float(mean_psd.min() / target)
-        hi = float(mean_psd.max() / target)
-
-        xs = np.arange(side)
-        streaks = np.zeros((side, side))
-        for fx, fy in ((3, 11), (17, 5), (9, 23)):
-            streaks += np.cos(2 * np.pi * (fx * xs[None, :] + fy * xs[:, None]) / side)
-        streaks *= 0.12
-        cv_sh, cv_naive = [], []
-        for seed in range(n_seeds):
-            rng = make_rng(10_000 + seed)
-            _, report = homogenize(streaks, np.zeros_like(streaks), sigma, cfg, rng)
-            cv_sh.append(report.flatness_after)
-            noisy = naive_inject(streaks, sigma, rng)
-            eff = estimate_psd(noisy, cfg.kernel)
-            cv_naive.append(float(np.std(eff) / np.mean(eff)))
-        ratio = float(np.mean(cv_sh) / np.mean(cv_naive))
-
+        lo, hi, ratio = whitening_statistics(side=64, n_seeds=100)
         c.detail = f"psd band [{lo:.3f}, {hi:.3f}] of target; CV ratio {ratio:.3f}"
         assert 0.9 <= lo and hi <= 1.1
         assert ratio < 0.5
 
 
-def _certification_instances():
+def _certification_pairs():
     for seed in range(10):
-        rng = make_rng(100 + seed)
-        op = DenseOperator(rng.standard_normal((16, 16)) / 4.0)
-        y = op.apply(rng.standard_normal((16, 1)))
-        mu0 = rng.standard_normal((16, 1))
-        yield op, y, GaussianPriorDenoiser(mu0, tau=1.0)
+        yield certify_pair(*certification_instance(100 + seed, n=16), tol=1e-6, max_iters=500)
 
 
 def test_dual_coupled_fixed_point_optimality():
     with Criterion("fixed-point optimality (10 convex instances)", 10.0) as c:
         worst_consensus = worst_stationarity = 0.0
-        for op, y, denoiser in _certification_instances():
-            cert = certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5,
-                                       dual_coupling=True, tol=1e-6, max_iters=500)
+        for cert, _, _ in _certification_pairs():
             assert cert.converged and cert.iterations <= 500
             worst_consensus = max(worst_consensus, cert.consensus)
             worst_stationarity = max(worst_stationarity, cert.stationarity)
@@ -161,14 +121,10 @@ def test_memoryless_bias():
     with Criterion("memoryless-variant bias (10 convex instances)", 10.0) as c:
         worst_prediction = 0.0
         min_ratio = np.inf
-        for op, y, denoiser in _certification_instances():
-            on = certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5,
-                                     dual_coupling=True, tol=1e-6, max_iters=500)
-            off = certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5,
-                                      dual_coupling=False, tol=1e-6, max_iters=500)
+        for _, off, ratio in _certification_pairs():
             assert off.converged and off.prediction_error is not None
             worst_prediction = max(worst_prediction, off.prediction_error)
-            min_ratio = min(min_ratio, off.error_vs_optimum / max(on.error_vs_optimum, 1e-300))
+            min_ratio = min(min_ratio, ratio)
         c.detail = (f"bias/error ratio >= {min_ratio:.0f}x, "
                     f"worst closed-form mismatch {worst_prediction:.2e}")
         assert min_ratio >= 10.0

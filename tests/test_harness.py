@@ -185,6 +185,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="pet")
 
+    @pytest.mark.parametrize("kind", ["external", "median"])
+    def test_unbuildable_denoiser_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown denoiser"):
+            ExperimentConfig(denoiser=kind)
+
 
 class TestRunExperiment:
     def test_grid_size_counts(self, tmp_path):

@@ -17,34 +17,11 @@ from dcpnp.operators import (
     RadonGeometry,
     RadonOperator,
     dot_test,
-    fbp,
-    fourier_mask_apply,
     make_cartesian_mask,
     make_limited_angle_geometry,
     make_sparse_view_geometry,
-    radon_adjoint,
-    radon_forward,
 )
-from dcpnp.phantoms import _HEAD_ELLIPSES, flat_disk, shepp_logan
-
-
-def ellipse_sinogram(geo, table, side):
-    """Analytic line integrals of an ellipse superposition (exact chords)."""
-    half = (side - 1) / 2.0
-    bins = (np.arange(geo.detector_bins) - (geo.detector_bins - 1) / 2.0) * geo.detector_pitch
-    sino = np.zeros((geo.n_views, geo.detector_bins))
-    for vi, ang in enumerate(geo.angles):
-        th = np.deg2rad(ang)
-        for rho, a, b, x0, y0, phi_deg in table:
-            phi = np.deg2rad(phi_deg)
-            big_a, big_b = a * half, b * half
-            offset = bins - (x0 * half * np.cos(th) + y0 * half * np.sin(th))
-            alpha2 = (big_a * np.cos(th - phi)) ** 2 + (big_b * np.sin(th - phi)) ** 2
-            inside = offset**2 <= alpha2
-            vals = np.zeros_like(offset)
-            vals[inside] = 2 * rho * big_a * big_b * np.sqrt(alpha2 - offset[inside] ** 2) / alpha2
-            sino[vi] += vals
-    return sino
+from dcpnp.phantoms import flat_disk
 
 
 class TestGeometries:
@@ -94,13 +71,13 @@ class TestGeometries:
 class TestRadon:
     def test_zero_image_zero_sinogram(self):
         geo = make_sparse_view_geometry(8, 32)
-        assert np.all(radon_forward(np.zeros((32, 32)), geo) == 0.0)
+        assert np.all(RadonOperator(geo).apply(np.zeros((32, 32))) == 0.0)
 
     def test_disk_profile_matches_chord_length(self):
         side = 128
         geo = make_sparse_view_geometry(8, side)
         img = flat_disk(side, radius=0.5, inside=1.0, outside=0.0)
-        sino = radon_forward(img, geo)
+        sino = RadonOperator(geo).apply(img)
         r_pix = 0.5 * (side - 1) / 2.0
         center = (geo.detector_bins - 1) // 2
         for view in range(geo.n_views):
@@ -137,13 +114,13 @@ class TestRadon:
     def test_adjoint_zero(self):
         geo = make_sparse_view_geometry(8, 32)
         sino = np.zeros((8, geo.detector_bins))
-        assert np.all(radon_adjoint(sino, geo) == 0.0)
+        assert np.all(RadonOperator(geo).adjoint(sino) == 0.0)
 
     def test_adjoint_single_bin_is_a_ray(self):
         geo = make_sparse_view_geometry(4, 32)
         sino = np.zeros((4, geo.detector_bins))
         sino[0, (geo.detector_bins - 1) // 2] = 1.0
-        back = radon_adjoint(sino, geo)
+        back = RadonOperator(geo).adjoint(sino)
         assert np.all(back >= 0.0)
         assert back.sum() > 0
         # angle 0 ray: detector coordinate is x, so the hit column band is narrow
@@ -172,14 +149,14 @@ class TestRadon:
     def test_nonnegative_image_gives_nonnegative_sinogram(self):
         geo = make_sparse_view_geometry(9, 32)
         img = np.abs(make_rng(5).standard_normal((32, 32)))
-        assert np.min(radon_forward(img, geo)) >= 0.0
+        assert np.min(RadonOperator(geo).apply(img)) >= 0.0
 
     def test_shape_mismatch_rejected(self):
-        geo = make_sparse_view_geometry(8, 32)
+        op = RadonOperator(make_sparse_view_geometry(8, 32))
         with pytest.raises(ValueError):
-            radon_forward(np.zeros((16, 16)), geo)
+            op.apply(np.zeros((16, 16)))
         with pytest.raises(ValueError):
-            radon_adjoint(np.zeros((3, 3)), geo)
+            op.adjoint(np.zeros((3, 3)))
 
 
 class TestThreadedRadon:
@@ -265,52 +242,6 @@ class TestThreadedRadon:
         assert np.array_equal(op.adjoint(y).ravel(), op._adj @ y.ravel())
 
 
-class TestFbp:
-    def test_zero_sinogram_zero_image(self):
-        geo = make_sparse_view_geometry(12, 32)
-        assert np.all(fbp(np.zeros((12, geo.detector_bins)), geo) == 0.0)
-
-    def test_full_view_quality_pinned(self):
-        # measured once for this discretization (pixel-driven forward,
-        # transpose backprojection, pitch 1): 23.85 dB; floor guards regressions
-        side = 128
-        geo = make_sparse_view_geometry(180, side)
-        op = RadonOperator(geo)
-        ph = shepp_logan(side)
-        rec = fbp(op.apply(ph), geo, op=op)
-        assert psnr(rec, ph, 2.0) >= 23.0
-
-    def test_analytic_sinogram_reconstruction(self):
-        # dual-route check: reconstruct from exact ellipse line integrals,
-        # independent of the discrete forward projector
-        side = 128
-        geo = make_sparse_view_geometry(180, side)
-        op = RadonOperator(geo)
-        sino = ellipse_sinogram(geo, _HEAD_ELLIPSES, side)
-        rec = 2.0 * fbp(sino, geo, op=op) - 1.0
-        assert psnr(rec, shepp_logan(side), 2.0) >= 23.0
-
-    def test_sparse_view_strictly_worse_than_full(self):
-        side = 128
-        ph = shepp_logan(side)
-        geo_full = make_sparse_view_geometry(180, side)
-        geo_20 = make_sparse_view_geometry(20, side)
-        full = psnr(fbp(RadonOperator(geo_full).apply(ph), geo_full), ph, 2.0)
-        sparse = psnr(fbp(RadonOperator(geo_20).apply(ph), geo_20), ph, 2.0)
-        assert sparse < full
-
-    def test_hann_apodization_runs(self):
-        geo = make_sparse_view_geometry(16, 32)
-        op = RadonOperator(geo)
-        out = fbp(op.apply(np.ones((32, 32))), geo, apodization="hann", op=op)
-        assert np.all(np.isfinite(out))
-
-    def test_unknown_apodization_rejected(self):
-        geo = make_sparse_view_geometry(4, 32)
-        with pytest.raises(ValueError):
-            fbp(np.zeros((4, geo.detector_bins)), geo, apodization="welch")
-
-
 class TestCartesianMask:
     def test_af1_keeps_everything(self):
         mask = make_cartesian_mask(32, 32, 1, 4)
@@ -340,25 +271,6 @@ class TestCartesianMask:
         for af in (6, 10):
             mask = make_cartesian_mask(320, 320, af, 16)
             assert isinstance(mask, CartesianMask)
-
-    def test_serialization_round_trip(self, tmp_path):
-        from dcpnp.operators import load_mask, save_mask
-
-        mask = make_cartesian_mask(64, 96, 6, 8)
-        path = tmp_path / "mask.dcpm"
-        save_mask(path, mask)
-        loaded = load_mask(path)
-        assert loaded.height == 64 and loaded.width == 96
-        assert loaded.af == 6 and loaded.center_lines == 8
-        assert np.array_equal(loaded.keep, mask.keep)
-
-    def test_bad_mask_magic_rejected(self, tmp_path):
-        from dcpnp.operators import load_mask
-
-        path = tmp_path / "bad.dcpm"
-        path.write_bytes(b"XXXX" + b"\0" * 20)
-        with pytest.raises(ValueError):
-            load_mask(path)
 
 
 class TestFourierMask:
@@ -390,12 +302,6 @@ class TestFourierMask:
         full_rec = full.adjoint(full.apply(img))
         sub_rec = sub.adjoint(sub.apply(img))
         assert psnr(sub_rec, img, 2.0) < psnr(full_rec, img, 2.0)
-
-    def test_one_shot_helper(self):
-        mask = make_cartesian_mask(16, 16, 2, 2)
-        img = np.ones((16, 16), dtype=complex)
-        y = fourier_mask_apply(img, mask)
-        assert y.shape == (16, 16)
 
 
 class TestDotTestHarness:

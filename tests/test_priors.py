@@ -5,16 +5,16 @@ import sys
 import numpy as np
 import pytest
 
+from dcpnp.experiment import ExperimentConfig
 from dcpnp.grid_core import make_rng
 from dcpnp.priors import (
+    Denoiser,
     DenoiserError,
     ExternalDenoiser,
     GaussianPriorDenoiser,
     IdentityDenoiser,
     NoiseSchedule,
     TvProxDenoiser,
-    make_denoiser,
-    schedule_sigma,
     total_variation,
     tv_prox,
     tweedie_consistency_check,
@@ -24,18 +24,18 @@ from dcpnp.priors import (
 class TestSchedule:
     def test_linear_two_steps_hits_endpoints(self):
         sched = NoiseSchedule(1.0, 0.01, 2, "linear")
-        assert schedule_sigma(sched, 0) == pytest.approx(1.0)
-        assert schedule_sigma(sched, 1) == pytest.approx(0.01)
+        assert sched.sigma(0) == pytest.approx(1.0)
+        assert sched.sigma(1) == pytest.approx(0.01)
 
     def test_geometric_midpoint(self):
         sched = NoiseSchedule(1.0, 0.01, 3, "geometric")
-        values = [schedule_sigma(sched, k) for k in range(3)]
+        values = [sched.sigma(k) for k in range(3)]
         assert values == pytest.approx([1.0, 0.1, 0.01])
 
     def test_strictly_decreasing_over_50(self):
         for spacing in ("linear", "geometric"):
             sched = NoiseSchedule(10.0, 0.01, 50, spacing)
-            values = [schedule_sigma(sched, k) for k in range(50)]
+            values = [sched.sigma(k) for k in range(50)]
             assert all(a > b for a, b in zip(values, values[1:]))
             assert values[-1] == pytest.approx(0.01)
 
@@ -43,7 +43,7 @@ class TestSchedule:
         sched = NoiseSchedule(1.0, 0.1, 5)
         for k in (-1, 5):
             with pytest.raises(ValueError):
-                schedule_sigma(sched, k)
+                sched.sigma(k)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -216,19 +216,31 @@ class TestExternalDenoiser:
 
 class TestRegistry:
     def test_kinds_constructible(self):
-        assert isinstance(make_denoiser("identity"), IdentityDenoiser)
-        assert isinstance(make_denoiser("tv-prox", weight=1.0), TvProxDenoiser)
-        assert isinstance(
-            make_denoiser("gaussian-prior", mu0=np.zeros((2, 2)), tau=1.0),
-            GaussianPriorDenoiser,
-        )
-        assert isinstance(make_denoiser("external", command=["true"]), ExternalDenoiser)
+        def build(kind):
+            return ExperimentConfig(denoiser=kind, image_side=16).make_denoiser()
+
+        assert isinstance(build("identity"), IdentityDenoiser)
+        assert isinstance(build("tv-prox"), TvProxDenoiser)
+        gaussian = build("gaussian-prior")
+        assert isinstance(gaussian, GaussianPriorDenoiser)
+        assert gaussian.mu0.shape == (16, 16)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            make_denoiser("median-filter")
+            ExperimentConfig(denoiser="median-filter")
 
     def test_identity_returns_copy(self):
         v = np.ones((3, 3))
-        out = make_denoiser("identity").denoise(v, 1.0)
+        out = ExperimentConfig(denoiser="identity").make_denoiser().denoise(v, 1.0)
         assert np.array_equal(out, v) and out is not v
+
+
+class TestDenoiseContract:
+    def test_real_output_for_complex_input_rejected(self):
+        class DropsImaginary(Denoiser):
+            def _denoise(self, v, sigma, t):
+                return v.real
+
+        v = np.ones((4, 4), dtype=complex)
+        with pytest.raises(DenoiserError, match="real grid for a complex input"):
+            DropsImaginary().denoise(v, 1.0)

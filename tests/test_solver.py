@@ -9,6 +9,7 @@ from dcpnp.solver import (
     SolverDivergence,
     SolverState,
     VariantSpec,
+    certification_instance,
     certify_fixed_point,
     dual_update,
     initialize,
@@ -34,6 +35,9 @@ class TestVariantSpec:
     def test_bad_labels_rejected(self):
         for label in ("dual=maybe,inject=sh", "dual=on,inject=blur", "dual=on,foo=1"):
             with pytest.raises(ValueError):
+                VariantSpec.from_label(label)
+        for label in ("dual", "", "dual=on,"):
+            with pytest.raises(ValueError, match=f"{label!r} is not of the form key=value"):
                 VariantSpec.from_label(label)
 
 
@@ -196,16 +200,9 @@ class TestRunLoop:
 
 
 class TestCertifyFixedPoint:
-    def make_instance(self, seed, n=16):
-        rng = make_rng(seed)
-        op = DenseOperator(rng.standard_normal((n, n)) / np.sqrt(n))
-        y = op.apply(rng.standard_normal((n, 1)))
-        mu0 = rng.standard_normal((n, 1))
-        return op, y, GaussianPriorDenoiser(mu0, tau=1.0)
-
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_on_reaches_optimum(self, seed):
-        op, y, den = self.make_instance(seed)
+        op, y, den = certification_instance(seed)
         cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
         assert cert.converged
         assert cert.consensus < 1e-6
@@ -214,7 +211,7 @@ class TestCertifyFixedPoint:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_off_biased_but_predictable(self, seed):
-        op, y, den = self.make_instance(seed)
+        op, y, den = certification_instance(seed)
         on = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
         off = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=False)
         assert off.converged
@@ -234,7 +231,7 @@ class TestCertifyFixedPoint:
         assert on.error_vs_optimum < 1e-6 and off.error_vs_optimum < 1e-6
 
     def test_dual_balance_at_fixed_point(self):
-        op, y, den = self.make_instance(7)
+        op, y, den = certification_instance(7)
         cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
         # gradient of the data term balanced by the scaled dual
         x0 = np.zeros(op.domain_shape)
@@ -242,12 +239,12 @@ class TestCertifyFixedPoint:
         assert cert.dual_balance <= 1e-6 * grad0
 
     def test_inconclusive_marked(self):
-        op, y, den = self.make_instance(9)
+        op, y, den = certification_instance(9)
         cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5,
                                    dual_coupling=True, max_iters=2)
         assert not cert.converged
 
     def test_requires_gaussian_denoiser(self):
-        op, y, _ = self.make_instance(10)
+        op, y, _ = certification_instance(10)
         with pytest.raises(ValueError):
             certify_fixed_point(op, y, TvProxDenoiser(), lam=1.0, sigma=0.5)

@@ -5,7 +5,6 @@ from dcpnp.grid_core import forward_dft, make_rng, sample_white_gaussian
 from dcpnp.spectral import (
     ShConfig,
     SmoothingKernel,
-    dominance_report,
     estimate_psd,
     estimate_residual,
     homogenize,
@@ -316,27 +315,3 @@ class TestNaiveInject:
         out = naive_inject(v, 1.0, make_rng(21))
         assert np.iscomplexobj(out)
         assert np.std(out.real) > 0 and np.std(out.imag) > 0
-
-
-class TestDominanceReport:
-    def test_streaks_dominate_matched_white_error(self):
-        side = 64
-        streaks = streak_field(side, scale=0.2)
-        rng = make_rng(22)
-        white = rng.standard_normal((side, side))
-        white *= np.linalg.norm(streaks) / np.linalg.norm(white)
-        peak_true, peak_err = dominance_report(streaks, white, SmoothingKernel())
-        assert peak_true > peak_err
-
-    def test_both_zero(self):
-        z = np.zeros((8, 8))
-        assert dominance_report(z, z, SmoothingKernel()) == (0.0, 0.0)
-
-    def test_equal_inputs_equal_peaks(self):
-        r = make_rng(23).standard_normal((16, 16))
-        a, b = dominance_report(r, r.copy(), SmoothingKernel())
-        assert a == pytest.approx(b)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            dominance_report(np.zeros((4, 4)), np.zeros((5, 5)), SmoothingKernel())
