@@ -1,7 +1,8 @@
-"""2D sample grids, the DFT convention, white-noise sampling and grid I/O.
+"""2D sample grids, the DFT convention, white-noise sampling, grid I/O, and
+the process-wide thread pool that grid work is spread over.
 
 Grids are plain numpy arrays: real grids are 2D float64, complex grids are
-2D complex128, frequency maps are 2D nonnegative float64. All public
+2D complex128, frequency maps are 2D nonnegative float64. All public grid
 operations validate shapes and finiteness and are pure.
 
 DFT convention used throughout: unnormalized forward (plain sum, no 1/HW),
@@ -12,7 +13,10 @@ the target level the spectral-homogenization module fills toward.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,6 +26,45 @@ MAGIC = b"DCPG"
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: identical seed gives an identical stream."""
     return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# One pool per process, shared by every caller (the Radon matvec and the TV
+# prox), since the CPUs are shared too. A forked child inherits the pool
+# object but none of its threads, so a submit there would wait forever: the
+# child forgets the pool and builds its own on first use.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def worker_pool() -> ThreadPoolExecutor:
+    """The process-wide pool, with one thread per CPU beyond the caller's.
+
+    Work submitted to it must not itself wait on the pool.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(available_cpus() - 1, 1),
+                                       thread_name_prefix="dcpnp-worker")
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to reset
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def _check_grid(g: np.ndarray) -> None:

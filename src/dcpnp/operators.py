@@ -9,17 +9,15 @@ transpose of the discretized forward map, never an independent
 discretization.
 
 The Radon matrices are applied on every CPU the process may run on: each is
-cut into one row block per CPU and the blocks are multiplied on a shared
-thread pool (scipy's CSR kernel releases the GIL). Every row is still summed
-in the same order, so results are bitwise equal to a single-threaded product.
+cut into one row block per CPU and the blocks are multiplied on the shared
+thread pool `grid_core.worker_pool` (scipy's CSR kernel releases the GIL).
+Every row is still summed in the same order, so results are bitwise equal to
+a single-threaded product.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from . import grid_core
 from .grid_core import make_rng
 
 
@@ -210,13 +209,6 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     return matrix
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 class _RowBlock(NamedTuple):
     """Consecutive rows of a CSR matrix, starting at row `first`.
 
@@ -253,33 +245,6 @@ def _split_rows(matrix: sp.csr_matrix, n_blocks: int) -> list[_RowBlock]:
     return blocks
 
 
-# One pool per process, shared by every operator, since the CPUs are shared
-# too. A forked child inherits the pool object but none of its threads, so a
-# submit there would wait forever: the child forgets the pool and builds its
-# own on first use.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _matvec_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(_available_cpus() - 1, 1),
-                                       thread_name_prefix="dcpnp-matvec")
-        return _pool
-
-
-def _forget_pool_after_fork() -> None:
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to reset
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
-
-
 class _RowBlockedCsr:
     """A CSR matrix whose matvec runs its row blocks on the thread pool."""
 
@@ -300,7 +265,7 @@ class _RowBlockedCsr:
             _sparsetools.csr_matvec(block.n_rows, n_cols, block.indptr, block.indices,
                                     block.data, x, out[block.first:block.first + block.n_rows])
 
-        pool = _matvec_pool()
+        pool = grid_core.worker_pool()
         futures = [pool.submit(run, block) for block in self.blocks[1:]]
         run(self.blocks[0])
         for future in futures:
@@ -321,7 +286,7 @@ class RadonOperator(LinearOperator):
         self.range_shape = (geo.n_views, geo.detector_bins)
         self._fwd = _radon_matrix(geo)
         self._adj = sp.csr_matrix(self._fwd.T)
-        n_cpus = _available_cpus()
+        n_cpus = grid_core.available_cpus()
         self._fwd_blocks = _RowBlockedCsr(self._fwd, n_cpus)
         self._adj_blocks = _RowBlockedCsr(self._adj, n_cpus)
 

@@ -70,6 +70,8 @@ class Denoiser:
             raise DenoiserError(f"denoiser changed grid shape {np.shape(v)} -> {out.shape}")
         if np.iscomplexobj(v) and not np.iscomplexobj(out):
             raise DenoiserError("denoiser returned a real grid for a complex input")
+        if not np.isfinite(out).all():
+            raise DenoiserError(f"{self.kind} denoiser returned non-finite values")
         return out
 
     def _denoise(self, v: np.ndarray, sigma: float, t: int) -> np.ndarray:
@@ -119,19 +121,100 @@ def _grad(z: np.ndarray) -> np.ndarray:
     return g
 
 
-def _div(p: np.ndarray) -> np.ndarray:
-    d = np.zeros(p.shape[1:], dtype=p.dtype)
-    d[:-1, :] += p[0, :-1, :]
-    d[1:, :] -= p[0, :-1, :]
-    d[:, :-1] += p[1, :, :-1]
-    d[:, 1:] -= p[1, :, :-1]
-    return d
-
-
 def total_variation(z: np.ndarray) -> float:
     """Isotropic TV: sum of per-pixel gradient magnitudes."""
     g = _grad(z)
     return float(np.sum(np.sqrt(g[0] ** 2 + g[1] ** 2)))
+
+
+# The dual field of one H x W channel lives in one flat buffer laid out as
+# [W zeros | p0 | p1], with p0 the vertical and p1 the horizontal component,
+# each row-major. The projection keeps p0's last row and p1's last column at
+# zero, so the divergence is a sum of differences of whole offset slices:
+# the pad is the row above p0's first row, the zero that ends p0 is the
+# entry left of p1's first, and the zero that ends each row of p1 is the
+# entry left of the next row's first. Adding or subtracting those zeros
+# leaves every sum as the sliced two-dimensional updates leave it.
+
+
+def _div_into(p: np.ndarray, w: int, out: np.ndarray) -> None:
+    """Divergence of the padded dual field `p` of a width-`w` channel, into `out`."""
+    n = out.size
+    np.subtract(p[w:w + n], p[:n], out=out)
+    np.add(out, p[w + n:], out=out)
+    np.subtract(out, p[w + n - 1:w + 2 * n - 1], out=out)
+
+
+def _tv_dual_projection(v, gamma, iters, p, grad, div, target, mag, energies):
+    """Run the dual projection of one channel in its own buffers; z ends in `div`."""
+    h, w = v.shape
+    n = h * w
+    dual = p[w:]
+    components = dual.reshape(2, n)
+    g0, g1 = grad[:n], grad[n:]
+    np.divide(v, gamma, out=target.reshape(h, w))
+    for _ in range(iters):
+        _div_into(p, w, div)
+        np.subtract(div, target, out=div)
+        np.subtract(div[w:], div[:n - w], out=g0[:n - w])  # g0's last row stays 0
+        np.subtract(div[1:], div[:n - 1], out=g1[:n - 1])
+        g1[w - 1::w] = 0.0  # the differences across row ends
+        np.multiply(grad, 0.125, out=grad)
+        np.add(dual, grad, out=dual)
+        np.multiply(components[0], components[0], out=mag)
+        np.multiply(components[1], components[1], out=div)
+        np.add(mag, div, out=mag)
+        np.sqrt(mag, out=mag)
+        np.maximum(mag, 1.0, out=mag)
+        np.divide(components, mag, out=components)
+        if energies is not None:
+            _div_into(p, w, div)
+            z = v - gamma * div.reshape(h, w)
+            energies.append(0.5 * float(np.sum((z - v) ** 2)) + gamma * total_variation(z))
+    _div_into(p, w, div)
+    np.multiply(div, gamma, out=div)
+    np.subtract(v, div.reshape(h, w), out=div.reshape(h, w))
+
+
+def _tv_prox_channels(channels, gamma: float, iters: int, energies=None) -> np.ndarray:
+    """Prox of gamma * TV of each of C real H x W channels, as a (C, H, W) array.
+
+    The calling thread allocates every buffer, then projects channel 0 while
+    the other channels run on `grid_core.worker_pool` (on the calling thread
+    too when there is one CPU). The work is elementwise numpy ufuncs, which
+    release the GIL, in the order the sliced two-dimensional formulation
+    takes, so the result is bitwise equal to projecting each channel alone.
+    `energies` (one channel only) receives the objective per inner iteration.
+    """
+    c = len(channels)
+    h, w = channels[0].shape
+    if gamma == 0.0:
+        if energies is not None:
+            energies.append(0.0)
+        return np.array(channels)
+    n = h * w
+    p = np.zeros((c, w + 2 * n))
+    grad = np.zeros((c, 2 * n))
+    div = np.empty((c, n))
+    target = np.empty((c, n))
+    mag = np.empty((c, n))
+
+    def run(k: int) -> None:
+        _tv_dual_projection(channels[k], gamma, iters, p[k], grad[k], div[k], target[k],
+                            mag[k], energies)
+
+    futures = []
+    serial = range(1, c)
+    if c > 1 and grid_core.available_cpus() > 1:
+        pool = grid_core.worker_pool()
+        futures = [pool.submit(run, k) for k in serial]
+        serial = ()
+    run(0)
+    for k in serial:
+        run(k)
+    for future in futures:
+        future.result()
+    return div.reshape(c, h, w)
 
 
 def tv_prox(v: np.ndarray, gamma: float, iters: int = 50,
@@ -146,20 +229,8 @@ def tv_prox(v: np.ndarray, gamma: float, iters: int = 50,
         raise ValueError("gamma must be nonnegative")
     if np.iscomplexobj(v):
         raise ValueError("tv_prox expects a real grid; split complex grids per channel")
-    if gamma == 0.0:
-        z = np.array(v, copy=True)
-        return (z, [0.0]) if track_energy else z
-    p = np.zeros((2,) + v.shape)
-    energies = []
-    target = v / gamma
-    for _ in range(iters):
-        p = p + 0.125 * _grad(_div(p) - target)
-        mag = np.sqrt(p[0] ** 2 + p[1] ** 2)
-        p = p / np.maximum(1.0, mag)[None, :, :]
-        if track_energy:
-            z = v - gamma * _div(p)
-            energies.append(0.5 * float(np.sum((z - v) ** 2)) + gamma * total_variation(z))
-    z = v - gamma * _div(p)
+    energies = [] if track_energy else None
+    [z] = _tv_prox_channels([v], gamma, iters, energies)
     return (z, energies) if track_energy else z
 
 
@@ -170,7 +241,8 @@ class TvProxDenoiser(Denoiser):
     discrepancy-principle scaling for removing noise of standard deviation
     sigma with a TV prior, so denoising strength tracks the schedule (a
     sigma^2 coupling under-denoises badly at small sigma). Complex grids
-    are handled per channel (real and imaginary parts separately).
+    are handled per channel (real and imaginary parts separately), and the
+    two channels run at the same time when there is a second CPU.
     """
 
     kind = "tv-prox"
@@ -186,7 +258,8 @@ class TvProxDenoiser(Denoiser):
     def _denoise(self, v, sigma, t):
         gamma = self.weight * sigma
         if np.iscomplexobj(v):
-            return tv_prox(v.real, gamma, self.iters) + 1j * tv_prox(v.imag, gamma, self.iters)
+            re, im = _tv_prox_channels([v.real, v.imag], gamma, self.iters)
+            return re + 1j * im
         return tv_prox(v, gamma, self.iters)
 
 

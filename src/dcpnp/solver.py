@@ -284,10 +284,7 @@ def _dense_normal_solve(op: LinearOperator, rhs: np.ndarray, lam: float) -> np.n
     zero_u = np.zeros(op.domain_shape)
     n = op.domain_shape[0] * op.domain_shape[1]
     cfg = CgConfig(max_iters=max(10 * n, 1000), tol=1e-14, lam=lam)
-    # solve (A'A + lam I) x = rhs by passing z = rhs / lam ... not valid for
-    # lam = 0, so run CG on the equivalent prox problem only when lam > 0.
-    if lam <= 0:
-        raise ValueError("closed-form reference requires lam > 0 for non-dense operators")
+    # (A'A + lam I) x = rhs is the data-consistency prox at y = 0, z = rhs / lam
     return prox_data_consistency(op, np.zeros(op.range_shape), rhs / lam, zero_u, cfg).x
 
 

@@ -270,6 +270,19 @@ ablate(cfg)
 """
 
 
+# Denoises a complex grid, so the parent holds a live thread pool on a machine
+# with a second CPU, then runs the ablation grid of the config file in argv[1].
+_ABLATE_AFTER_COMPLEX_DENOISE = """
+import sys
+import numpy as np
+from dcpnp.experiment import ablate, load_config
+cfg = load_config(sys.argv[1])
+side = cfg.image_side
+cfg.make_denoiser().denoise(np.ones((side, side)) + 1j * np.eye(side), 1.0)
+ablate(cfg)
+"""
+
+
 def _run_python(script: str, *args: str, env_update=None, drop_env=(), timeout: float = 120.0):
     """Run a Python snippet against this dcpnp in a new process group; on timeout
     kill the whole group (a hung worker pool included) and fail."""
@@ -291,11 +304,12 @@ def _run_python(script: str, *args: str, env_update=None, drop_env=(), timeout: 
     assert proc.returncode == 0, err
 
 
-def _ablate_in_subprocess(cfg, tmp_path, name: str, **kwargs) -> bytes:
+def _ablate_in_subprocess(cfg, tmp_path, name: str, script: str = _ABLATE_AFTER_APPLY,
+                          **kwargs) -> bytes:
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / name))
     path = tmp_path / f"{name}.ini"
     write_config(path, cfg)
-    _run_python(_ABLATE_AFTER_APPLY, str(path), **kwargs)
+    _run_python(script, str(path), **kwargs)
     return (Path(cfg.out_dir) / "metrics.csv").read_bytes()
 
 
@@ -318,6 +332,14 @@ class TestParallelDeterminism:
         serial = dataclasses.replace(cfg, out_dir=str(tmp_path / "serial"))
         ablate(serial)
         pooled = _ablate_in_subprocess(dataclasses.replace(cfg, workers=2), tmp_path, "pooled")
+        assert pooled == (Path(serial.out_dir) / "metrics.csv").read_bytes()
+
+    def test_pooled_mri_grid_after_complex_denoise_matches_serial(self, tmp_path):
+        cfg = tiny_config(tmp_path, task="mri", image_side=32, af=4, center_lines=4, steps=3)
+        serial = dataclasses.replace(cfg, out_dir=str(tmp_path / "serial"))
+        ablate(serial)
+        pooled = _ablate_in_subprocess(dataclasses.replace(cfg, workers=2), tmp_path, "pooled",
+                                       script=_ABLATE_AFTER_COMPLEX_DENOISE)
         assert pooled == (Path(serial.out_dir) / "metrics.csv").read_bytes()
 
     @pytest.fixture(scope="class")

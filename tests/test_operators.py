@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dcpnp import operators
+from dcpnp import grid_core, operators
 from dcpnp.grid_core import make_rng
 from dcpnp.metrics import psnr
 from dcpnp.operators import (
@@ -234,7 +234,7 @@ class TestThreadedRadon:
             raise AssertionError("a single-CPU operator must not use the thread pool")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(operators, "_matvec_pool", no_pool)
+        monkeypatch.setattr(grid_core, "worker_pool", no_pool)
         op = RadonOperator(make_sparse_view_geometry(20, 32))
         x = make_rng(9).standard_normal(op.domain_shape)
         y = make_rng(10).standard_normal(op.range_shape)

@@ -1,10 +1,12 @@
 import os
 import stat
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from dcpnp import grid_core, priors
 from dcpnp.experiment import ExperimentConfig
 from dcpnp.grid_core import make_rng
 from dcpnp.priors import (
@@ -167,8 +169,8 @@ class TestTvProx:
         d = TvProxDenoiser(weight=0.5, iters=20)
         out = d.denoise(v, 0.5)
         assert out.shape == v.shape and np.iscomplexobj(out)
-        assert np.allclose(out.real, tv_prox(v.real, 0.5 * 0.5, 20))
-        assert np.allclose(out.imag, tv_prox(v.imag, 0.5 * 0.5, 20))
+        assert np.array_equal(out.real, tv_prox(v.real, 0.5 * 0.5, 20))
+        assert np.array_equal(out.imag, tv_prox(v.imag, 0.5 * 0.5, 20))
 
     def test_zero_sigma_is_identity(self):
         v = make_rng(12).standard_normal((9, 9))
@@ -180,6 +182,114 @@ class TestTvProx:
         out = TvProxDenoiser(0.8, 25).denoise(v, 1.0)
         assert out.shape == (7, 11)
         assert np.all(np.isfinite(out))
+
+
+def _reference_tv_prox(v, gamma, iters):
+    """The sliced, allocating dual projection of one real channel."""
+
+    def grad(z):
+        g = np.zeros((2,) + z.shape)
+        g[0, :-1, :] = z[1:, :] - z[:-1, :]
+        g[1, :, :-1] = z[:, 1:] - z[:, :-1]
+        return g
+
+    def div(p):
+        d = np.zeros(p.shape[1:])
+        d[:-1, :] += p[0, :-1, :]
+        d[1:, :] -= p[0, :-1, :]
+        d[:, :-1] += p[1, :, :-1]
+        d[:, 1:] -= p[1, :, :-1]
+        return d
+
+    if gamma == 0.0:
+        return np.array(v, copy=True)
+    p = np.zeros((2,) + v.shape)
+    target = v / gamma
+    for _ in range(iters):
+        p = p + 0.125 * grad(div(p) - target)
+        mag = np.sqrt(p[0] ** 2 + p[1] ** 2)
+        p = p / np.maximum(1.0, mag)[None, :, :]
+    return v - gamma * div(p)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _complex_grid(seed, shape):
+    rng = make_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStackedTvProx:
+    CASES = [(shape, gamma, iters)
+             for shape in ((1, 1), (1, 5), (7, 11), (64, 64))
+             for gamma, iters in ((0.7, 20), (0.7, 1), (0.0, 20))]
+
+    @pytest.mark.parametrize("shape,gamma,iters", CASES)
+    def test_single_channel_bitwise_equal_to_reference(self, shape, gamma, iters):
+        v = 3.0 * make_rng(20).standard_normal(shape)
+        assert _same_bits(tv_prox(v, gamma, iters), _reference_tv_prox(v, gamma, iters))
+
+    @pytest.mark.parametrize("shape,gamma,iters", CASES)
+    def test_threaded_stack_bitwise_equal_to_reference(self, monkeypatch, shape, gamma, iters):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rng = make_rng(21)
+        channels = [3.0 * rng.standard_normal(shape) for _ in range(3)]
+        stacked = priors._tv_prox_channels(channels, gamma, iters)
+        for got, v in zip(stacked, channels):
+            assert _same_bits(got, _reference_tv_prox(v, gamma, iters))
+
+    @pytest.mark.parametrize("shape,gamma,iters", CASES)
+    def test_complex_denoise_bitwise_equal_to_reference(self, monkeypatch, shape, gamma, iters):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        v = _complex_grid(22, shape)
+        out = TvProxDenoiser(weight=gamma, iters=iters).denoise(v, 1.0)
+        want = (_reference_tv_prox(v.real, gamma, iters)
+                + 1j * _reference_tv_prox(v.imag, gamma, iters))
+        assert _same_bits(out.view(np.float64), want.view(np.float64))
+
+    def test_one_cpu_runs_channels_on_calling_thread(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("with one CPU the channels must not use the thread pool")
+
+        v = _complex_grid(23, (24, 24))
+        threaded = TvProxDenoiser(0.5, 30).denoise(v, 1.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(grid_core, "worker_pool", no_pool)
+        serial = TvProxDenoiser(0.5, 30).denoise(v, 1.0)
+        assert _same_bits(serial.view(np.float64), threaded.view(np.float64))
+
+    def test_real_grid_never_uses_pool(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("a single channel must not use the thread pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(grid_core, "worker_pool", no_pool)
+        v = make_rng(24).standard_normal((16, 16))
+        assert _same_bits(TvProxDenoiser(0.5, 10).denoise(v, 1.0),
+                          _reference_tv_prox(v, 0.5, 10))
+
+    def test_concurrent_complex_callers_get_their_own_results(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        d = TvProxDenoiser(0.5, 8)
+        inputs = [_complex_grid(seed, (20, 20)) for seed in range(8)]
+        expected = [_reference_tv_prox(v.real, 0.5, 8) + 1j * _reference_tv_prox(v.imag, 0.5, 8)
+                    for v in inputs]
+
+        def denoise_repeatedly(v):
+            return [d.denoise(v, 1.0) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(inputs)) as callers:
+                results = list(callers.map(denoise_repeatedly, inputs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            assert all(_same_bits(g.view(np.float64), want.view(np.float64)) for g in got)
 
 
 class TestExternalDenoiser:
@@ -244,3 +354,16 @@ class TestDenoiseContract:
         v = np.ones((4, 4), dtype=complex)
         with pytest.raises(DenoiserError, match="real grid for a complex input"):
             DropsImaginary().denoise(v, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_output_rejected(self, bad):
+        class Diverges(Denoiser):
+            kind = "diverging"
+
+            def _denoise(self, v, sigma, t):
+                out = np.array(v, copy=True)
+                out[1, 2] = bad
+                return out
+
+        with pytest.raises(DenoiserError, match="diverging denoiser returned non-finite values"):
+            Diverges().denoise(np.zeros((4, 4)), 1.0)
