@@ -12,9 +12,11 @@ reproducibility guarantee).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import dataclasses
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +37,7 @@ from .operators import (
 from .phantoms import PhantomSpec, make_phantom, mri_phantom
 from .priors import Denoiser, GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
 from .reductions import norm
-from .solver import VariantSpec, run
+from .solver import SolverStepError, VariantSpec, run
 from .spectral import ShConfig, SmoothingKernel
 
 TASKS = ("svct", "lact", "mri")
@@ -294,18 +296,38 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int,
             wall_time=time.perf_counter() - start,
         )
         if write_outputs:
-            run_dir = Path(cfg.out_dir) / f"{cfg.task}_{_variant_dirname(variant_label)}_seed{seed}"
+            run_dir = _run_dir(cfg, variant_label, seed)
             run_dir.mkdir(parents=True, exist_ok=True)
             save_grid(run_dir / "recon.dcpg", recon)
             save_pgm(run_dir / "recon.pgm", recon, window=(-1.0, 1.0))
             trace.write_csv(run_dir / "trace.csv")
             trace.write_spectral_csv(run_dir / "spectral.csv")
             write_config(run_dir / "config.resolved", cfg)
+            (run_dir / "error.txt").unlink(missing_ok=True)  # left by an earlier failed run
         return row
     except Exception as exc:  # keep the remaining rows running
-        return MetricRow(cfg.task, variant_label, seed, float("nan"), float("nan"),
-                         float("nan"), time.perf_counter() - start,
-                         status=f"error: {type(exc).__name__}: {exc}")
+        row = MetricRow(cfg.task, variant_label, seed, float("nan"), float("nan"),
+                        float("nan"), time.perf_counter() - start,
+                        status=f"error: {type(exc).__name__}: {exc}")
+        if write_outputs:
+            with contextlib.suppress(OSError):  # the status line still records the failure
+                _write_error(_run_dir(cfg, variant_label, seed), row, exc)
+        return row
+
+
+def _run_dir(cfg: ExperimentConfig, variant_label: str, seed: int) -> Path:
+    return Path(cfg.out_dir) / f"{cfg.task}_{_variant_dirname(variant_label)}_seed{seed}"
+
+
+def _write_error(run_dir: Path, row: MetricRow, exc: Exception) -> None:
+    """error.txt: which row failed, at which iteration if known, and the traceback."""
+    header = [f"task: {row.task}", f"variant: {row.variant}", f"seed: {row.seed}"]
+    if isinstance(exc, SolverStepError):
+        header.append(f"iteration: {exc.k}")
+    header.append(f"status: {row.status}")
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "error.txt").write_text("\n".join(header) + "\n\n"
+                                       + "".join(traceback.format_exception(exc)))
 
 
 def _row_worker(args) -> MetricRow:

@@ -123,8 +123,9 @@ def make_limited_angle_geometry(
     """Limited-angle geometry: n_views angles spanning [0, max_angle] inclusive."""
     if n_views < 1:
         raise ValueError("n_views must be at least 1")
-    if not 0.0 < max_angle <= 180.0:
-        raise ValueError("max_angle must lie in (0, 180]")
+    if not 0.0 < max_angle < 180.0:
+        raise ValueError("max_angle must lie in (0, 180): a view at 180 degrees "
+                         "would repeat the view at 0")
     if n_views == 1:
         angles = np.array([0.0])
     else:
@@ -156,6 +157,14 @@ def _trapezoid_cdf(x: np.ndarray, ramp: float, plateau_half: float) -> np.ndarra
     return out
 
 
+def _footprint(theta: float, pitch: float) -> tuple[float, float, int]:
+    """A unit pixel's trapezoid footprint at angle `theta`: its half-support a,
+    its plateau half-width c, and the most detector bins it can overlap."""
+    w1, w2 = abs(math.cos(theta)), abs(math.sin(theta))
+    a = (w1 + w2) / 2.0
+    return a, abs(w1 - w2) / 2.0, int(math.ceil(2.0 * a / pitch)) + 1
+
+
 def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     """Pixel-driven projection matrix with exact area-weighted footprints.
 
@@ -166,10 +175,18 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     at oblique angles it suppresses the lattice-beating comb artifacts a
     two-bin split produces. Contributions outside the detector are dropped
     identically in forward and adjoint, so the adjoint is an exact transpose.
+
+    View v owns rows v*n_bins ... (v+1)*n_bins - 1, so the matrix is built
+    one view at a time: each view's CSR block is scattered straight into
+    arrays sized for an upper bound on the non-zero count, which are shrunk
+    in place at the end. Pages past the real count are never touched, and
+    the whole matrix is never held as (row, column, value) triplets.
     """
     side = geo.image_side
     n_bins = geo.detector_bins
     pitch = geo.detector_pitch
+    n_pixels = side * side
+    n_rows = geo.n_views * n_bins
     center = (side - 1) / 2.0
     coords = np.arange(side) - center
     # x increases along columns, y upward (against the row index);
@@ -177,36 +194,42 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     y = np.repeat(-coords, side)
     x = np.tile(coords, side)
 
-    rows, cols, vals = [], [], []
-    pixel_ids = np.arange(side * side)
-    for view, angle in enumerate(geo.angles):
-        theta = math.radians(angle)
-        w1, w2 = abs(math.cos(theta)), abs(math.sin(theta))
-        a = (w1 + w2) / 2.0
-        plateau_half = abs(w1 - w2) / 2.0
+    thetas = [math.radians(angle) for angle in geo.angles]
+    bound = n_pixels * sum(_footprint(theta, pitch)[2] for theta in thetas)
+    idx_dtype = np.int32 if max(bound, n_rows, n_pixels) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
+    indices = np.empty(bound, dtype=idx_dtype)
+    data = np.empty(bound)
+    view_indptr = np.empty(n_bins + 1, dtype=idx_dtype)
+    nnz = 0
+    for view, theta in enumerate(thetas):
+        a, plateau_half, n_touched = _footprint(theta, pitch)
         ramp = a - plateau_half
         s = x * math.cos(theta) + y * math.sin(theta)
         first = np.floor((s - a) / pitch + (n_bins - 1) / 2.0 + 0.5).astype(np.int64)
-        n_touched = int(math.ceil(2.0 * a / pitch)) + 1
+        # pixel-major: weights[p, j] is pixel p's weight on bin first[p] + j
+        bins = first[:, None] + np.arange(n_touched)
+        weights = np.empty(bins.shape)
         prev_cdf = None
         for offset in range(n_touched + 1):
-            b = first + offset
-            edge = (b - (n_bins - 1) / 2.0 - 0.5) * pitch - s  # left bin edge
+            edge = (first + offset - (n_bins - 1) / 2.0 - 0.5) * pitch - s  # left bin edge
             cdf = _trapezoid_cdf(edge, ramp, plateau_half)
             if prev_cdf is not None:
-                weight = (cdf - prev_cdf) / pitch
-                bin_idx = b - 1
-                ok = (bin_idx >= 0) & (bin_idx < n_bins) & (weight > 1e-300)
-                rows.append(view * n_bins + bin_idx[ok])
-                cols.append(pixel_ids[ok])
-                vals.append(weight[ok])
+                weights[:, offset - 1] = (cdf - prev_cdf) / pitch
             prev_cdf = cdf
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(geo.n_views * n_bins, side * side),
-    )
-    matrix.sum_duplicates()
-    return matrix
+        ok = (bins >= 0) & (bins < n_bins) & (weights > 1e-300)
+        pixels = np.nonzero(ok)[0].astype(idx_dtype)
+        count = len(pixels)
+        # a stable scatter by bin of the pixel-major entries leaves every
+        # row's columns in ascending order, with no duplicates to sum
+        _sparsetools.coo_tocsr(n_bins, n_pixels, count, bins[ok].astype(idx_dtype), pixels,
+                               weights[ok], view_indptr, indices[nnz:nnz + count],
+                               data[nnz:nnz + count])
+        indptr[view * n_bins + 1:(view + 1) * n_bins + 1] = view_indptr[1:] + nnz
+        nnz += count
+    indices.resize(nnz, refcheck=False)  # in place: never a second copy
+    data.resize(nnz, refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_pixels))
 
 
 class _RowBlock(NamedTuple):

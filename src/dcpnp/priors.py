@@ -8,6 +8,9 @@ a file-based handshake for plugging in an external denoiser process.
 
 from __future__ import annotations
 
+import os
+import shlex
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -268,16 +271,21 @@ class ExternalDenoiser(Denoiser):
 
     For each call the input grid is written to a temp file and the command
     is invoked as `command... input_path output_path sigma t`; the output
-    grid is read back from output_path. Nonzero exit raises DenoiserError.
-    Not safe for concurrent calls on one instance.
+    grid is read back from output_path. Nonzero exit raises DenoiserError,
+    and so does a call that outlives `timeout` seconds, after the command
+    and every process it started are killed. Not safe for concurrent calls
+    on one instance.
     """
 
     kind = "external"
 
-    def __init__(self, command: list[str]):
+    def __init__(self, command: list[str], timeout: float = 600.0):
         if not command:
             raise ValueError("command must be a non-empty argument list")
+        if not timeout > 0:
+            raise ValueError("timeout must be positive")
         self.command = list(command)
+        self.timeout = timeout
 
     def _denoise(self, v, sigma, t):
         with tempfile.TemporaryDirectory(prefix="dcpnp-denoise-") as tmp:
@@ -285,10 +293,23 @@ class ExternalDenoiser(Denoiser):
             out_path = Path(tmp) / "output.dcpg"
             grid_core.save_grid(in_path, v)
             argv = self.command + [str(in_path), str(out_path), repr(sigma), str(t)]
-            proc = subprocess.run(argv, capture_output=True, text=True)
+            # its own process group, so that a timeout can kill what it started too
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, start_new_session=True)
+            try:
+                _, stderr = proc.communicate(timeout=self.timeout)
+            except BaseException as exc:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    raise DenoiserError(
+                        f"external denoiser {shlex.join(self.command)} did not finish "
+                        f"within its timeout of {self.timeout:g} s"
+                    ) from None
+                raise
             if proc.returncode != 0:
                 raise DenoiserError(
-                    f"external denoiser exited with {proc.returncode}: {proc.stderr.strip()}"
+                    f"external denoiser exited with {proc.returncode}: {stderr.strip()}"
                 )
             if not out_path.exists():
                 raise DenoiserError("external denoiser produced no output grid")

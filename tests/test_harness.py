@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dcpnp
-from dcpnp import cli
+from dcpnp import cli, experiment
 from dcpnp.experiment import (
     ExperimentConfig,
     ablate,
@@ -28,6 +28,7 @@ from dcpnp.experiment import (
 from dcpnp.grid_core import make_rng
 from dcpnp.metrics import psnr, ssim
 from dcpnp.phantoms import PhantomSpec, flat_disk, make_phantom, mri_phantom, random_ellipses, shepp_logan
+from dcpnp.solver import SolverStepError
 
 
 class TestPhantoms:
@@ -236,6 +237,42 @@ class TestRunExperiment:
         assert len(rows) == 1
         assert rows[0].status.startswith("error:")
         assert math.isnan(rows[0].psnr)
+
+    def test_failed_row_writes_error_txt(self, tmp_path, monkeypatch):
+        def fail_at_iteration_3(*args, **kwargs):
+            raise SolverStepError(3, ValueError("boom"))
+
+        monkeypatch.setattr(experiment, "run", fail_at_iteration_3)
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        [row] = run_experiment(cfg)
+        status = "error: SolverStepError: iteration 3: boom"
+        assert row.status == status
+        metrics = (Path(cfg.out_dir) / "metrics.csv").read_text().splitlines()
+        assert len(metrics) == 2 and metrics[1].endswith("," + status)
+        error = (Path(cfg.out_dir) / "svct_dual-on_inject-sh_seed0" / "error.txt").read_text()
+        assert "iteration: 3\n" in error
+        assert f"status: {status}\n" in error
+        assert "Traceback (most recent call last)" in error
+        assert "in fail_at_iteration_3" in error
+
+    def test_successful_rerun_removes_error_txt(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        error = Path(cfg.out_dir) / "svct_dual-on_inject-sh_seed0" / "error.txt"
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "run", lambda *args, **kwargs: 1 / 0)
+            run_experiment(cfg)
+        assert "ZeroDivisionError" in error.read_text()
+        assert "iteration:" not in error.read_text()
+        [row] = run_experiment(cfg)
+        assert row.status == "ok"
+        assert not error.exists()
+
+    def test_no_error_txt_without_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "run", lambda *args, **kwargs: 1 / 0)
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        [row] = run_experiment(cfg, write_outputs=False)
+        assert row.status.startswith("error: ZeroDivisionError")
+        assert not Path(cfg.out_dir).exists()
 
     def test_mri_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="mri", image_side=32, af=4, center_lines=4,

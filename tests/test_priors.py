@@ -1,7 +1,11 @@
 import os
+import signal
 import stat
+import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,15 @@ class TestStackedTvProx:
             assert all(_same_bits(g.view(np.float64), want.view(np.float64)) for g in got)
 
 
+def _running(pid: int) -> bool:
+    """True unless the process is gone or a zombie waiting to be reaped."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestExternalDenoiser:
     def _script(self, tmp_path, body):
         path = tmp_path / "denoise.py"
@@ -322,6 +335,50 @@ class TestExternalDenoiser:
         d = ExternalDenoiser(cmd)
         with pytest.raises(DenoiserError):
             d.denoise(np.zeros((4, 4)), 1.0)
+
+
+    def test_timeout_kills_the_command(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+        cmd = [sys.executable, "-c", "import time; time.sleep(60)"]
+        d = ExternalDenoiser(cmd, timeout=0.5)
+        t0 = time.monotonic()
+        with pytest.raises(DenoiserError, match=r"time\.sleep\(60\).* timeout of 0\.5 s"):
+            d.denoise(np.zeros((4, 4)), 1.0)
+        assert time.monotonic() - t0 < 10.0
+        [proc] = started
+        assert proc.returncode == -signal.SIGKILL  # killed and reaped
+
+    def test_timeout_kills_what_the_command_started(self, tmp_path):
+        pid_file = tmp_path / "grandchild.pid"
+        cmd = self._script(
+            tmp_path,
+            "import subprocess, sys, time\n"
+            "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+            f"open({str(pid_file)!r}, 'w').write(str(child.pid))\n"
+            "child.wait()\n",
+        )
+        d = ExternalDenoiser(cmd, timeout=2.0)
+        t0 = time.monotonic()
+        with pytest.raises(DenoiserError, match="timeout"):
+            d.denoise(np.zeros((4, 4)), 1.0)
+        assert time.monotonic() - t0 < 10.0
+        grandchild = int(pid_file.read_text())
+        deadline = time.monotonic() + 5.0
+        while _running(grandchild):
+            assert time.monotonic() < deadline, "the grandchild outlived the timeout"
+            time.sleep(0.05)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_bad_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError):
+            ExternalDenoiser(["true"], timeout=timeout)
 
 
 class TestRegistry:
