@@ -7,10 +7,11 @@ scheduled noise level, (4) dual accumulation u += x - z. Switching the dual
 shift off and the injection off recovers the memoryless half-quadratic
 splitting baseline.
 
-`certify_fixed_point` runs the stationary-noise backbone on convex
-instances with the exact Gaussian-prior denoiser, where the fixed point is
-known in closed form, and reports consensus/stationarity residuals (dual
-on) or the systematic offset from the true minimizer (dual off).
+`certify_fixed_point` drives `run` at a constant noise level, without
+injection, on convex instances with the exact Gaussian-prior denoiser,
+where the fixed point is known in closed form, and reports
+consensus/stationarity residuals (dual on) or the systematic offset from
+the true minimizer (dual off).
 """
 
 from __future__ import annotations
@@ -134,19 +135,18 @@ class IterationTrace:
             return repr(value)
         return str(value)
 
-    def write_csv(self, path) -> None:
+    def _write(self, path, columns) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(self.TRACE_COLUMNS)
+            writer.writerow(columns)
             for r in self.records:
-                writer.writerow(self._cell(getattr(r, col)) for col in self.TRACE_COLUMNS)
+                writer.writerow(self._cell(getattr(r, col)) for col in columns)
+
+    def write_csv(self, path) -> None:
+        self._write(path, self.TRACE_COLUMNS)
 
     def write_spectral_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.SPECTRAL_COLUMNS)
-            for r in self.records:
-                writer.writerow(self._cell(getattr(r, col)) for col in self.SPECTRAL_COLUMNS)
+        self._write(path, self.SPECTRAL_COLUMNS)
 
 
 def initialize(
@@ -199,7 +199,8 @@ def run(
 
     The CG penalty is rescheduled per iteration as cg.lam / sigma_k^2, so
     `cg.lam` plays the role of the base penalty coefficient. `on_iteration`,
-    when given, is called as on_iteration(k, state) after each dual update.
+    when given, is called as on_iteration(k, state) after each dual update;
+    a truthy return ends the loop after that iteration.
     """
     state = initialize(op, y, rng, init_noise_std=sched.sigma_max)
     trace = IterationTrace()
@@ -244,8 +245,8 @@ def run(
             record.peak_to_floor = report.peak_to_floor
         trace.records.append(record)
         _check_state_finite(state, trace, k)
-        if on_iteration is not None:
-            on_iteration(k, state)
+        if on_iteration is not None and on_iteration(k, state):
+            break
     return state.z, trace
 
 
@@ -298,7 +299,7 @@ def certify_fixed_point(
     tol: float = 1e-6,
     max_iters: int = 500,
 ) -> FixedPointCertificate:
-    """Iterate the stationary-noise backbone to convergence and certify it.
+    """Run `run` at the constant noise level sigma to convergence and certify it.
 
     Requires the Gaussian-prior denoiser, whose proximal identity makes the
     effective objective  ||Ax-y||^2 + lam_eff ||x-mu0||^2  explicit with
@@ -316,30 +317,28 @@ def certify_fixed_point(
     aty = op.adjoint(y)
     optimum = _dense_normal_solve(op, aty + lam_eff * mu0, lam_eff)
 
-    cg = CgConfig(max_iters=max(200, 10 * op.domain_shape[0] * op.domain_shape[1]),
-                  tol=1e-13, lam=lam)
-    x = np.zeros(op.domain_shape)
-    z = mu0.copy()
-    u = np.zeros(op.domain_shape)
+    last: SolverState | None = None
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        x_prev, z_prev = x, z
-        x = prox_data_consistency(op, y, z, u, cg).x
-        v = x + u if dual_coupling else x
-        z = denoiser.denoise(v, sigma)
+
+    def stop(k: int, state: SolverState) -> bool:
+        nonlocal last, converged
         if dual_coupling:
-            u = u + (x - z)
-            if float(np.linalg.norm(x - z)) <= 0.1 * tol:
-                converged = True
-                break
-        else:
+            converged = float(np.linalg.norm(state.x - state.z)) <= 0.1 * tol
+        elif last is not None:
             # the consensus gap never vanishes here (that is the bias); the
             # fixed point is reached when the iterates stop moving
-            moved = float(np.linalg.norm(x - x_prev)) + float(np.linalg.norm(z - z_prev))
-            if moved <= 0.01 * tol:
-                converged = True
-                break
+            moved = np.linalg.norm(state.x - last.x) + np.linalg.norm(state.z - last.z)
+            converged = bool(moved <= 0.01 * tol)
+        last = state
+        return converged
+
+    # a constant schedule holds sigma fixed; run's penalty is cg.lam / sigma^2
+    n = op.domain_shape[0] * op.domain_shape[1]
+    _, trace = run(op, y, denoiser, NoiseSchedule(sigma, sigma, max_iters),
+                   VariantSpec(dual_coupling, "none"),
+                   CgConfig(max(200, 10 * n), 1e-13, lam * sigma**2), ShConfig(), make_rng(0),
+                   on_iteration=stop)
+    x, z, u = last.x, last.z, last.u
 
     grad_f = op.adjoint(op.apply(x) - y)
     consensus = float(np.linalg.norm(x - z))
@@ -355,7 +354,7 @@ def certify_fixed_point(
 
     return FixedPointCertificate(
         dual_coupling=dual_coupling,
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
         consensus=consensus,
         stationarity=stationarity,

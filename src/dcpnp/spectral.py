@@ -162,25 +162,15 @@ def homogenize(
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     r = estimate_residual(v, z_prev)
-
-    if np.iscomplexobj(r):
-        noise_re, psd_re, def_re, eff_re = _homogenize_channel(r.real, sigma, cfg, rng)
-        noise_im, psd_im, def_im, eff_im = _homogenize_channel(r.imag, sigma, cfg, rng)
-        noise = noise_re + 1j * noise_im
-        psd = 0.5 * (psd_re + psd_im)
-        injected = float((def_re.sum() + def_im.sum()) / r.size)
-        before = 0.5 * (_coefficient_of_variation(psd_re) + _coefficient_of_variation(psd_im))
-        after = 0.5 * (_coefficient_of_variation(eff_re) + _coefficient_of_variation(eff_im))
-    else:
-        noise, psd, deficit, effective = _homogenize_channel(r, sigma, cfg, rng)
-        injected = float(deficit.sum() / r.size)
-        before = _coefficient_of_variation(psd)
-        after = _coefficient_of_variation(effective)
-
+    channels = [r.real, r.imag] if np.iscomplexobj(r) else [r]
+    noises, psds, deficits, effectives = zip(
+        *(_homogenize_channel(c, sigma, cfg, rng) for c in channels))
+    noise = noises[0] if len(channels) == 1 else noises[0] + 1j * noises[1]
+    psd = sum(psds) / len(channels)
     report = SpectralReport(
-        injected_energy=injected,
-        flatness_before=before,
-        flatness_after=after,
+        injected_energy=float(sum(d.sum() for d in deficits) / r.size),
+        flatness_before=sum(map(_coefficient_of_variation, psds)) / len(channels),
+        flatness_after=sum(map(_coefficient_of_variation, effectives)) / len(channels),
         peak_to_floor=_peak_to_floor(psd),
     )
     return v + noise, report

@@ -341,6 +341,14 @@ def _run_python(script: str, *args: str, env_update=None, drop_env=(), timeout: 
     assert proc.returncode == 0, err
 
 
+def test_perfbench_smoke():
+    # the benchmark imports dcpnp by name (solver.run's hook, the trace writers),
+    # so a renamed entry point it calls fails here and not only in a benchmark run
+    smoke = Path(__file__).resolve().parents[1] / "perfbench" / "smoke.py"
+    _run_python("import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__')",
+                str(smoke), timeout=600.0)
+
+
 def _ablate_in_subprocess(cfg, tmp_path, name: str, script: str = _ABLATE_AFTER_APPLY,
                           **kwargs) -> bytes:
     cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / name))

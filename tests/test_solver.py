@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcpnp import solver
 from dcpnp.fidelity import CgConfig, prox_data_consistency
 from dcpnp.grid_core import make_rng
 from dcpnp.operators import DenseOperator, IdentityOperator
@@ -189,6 +190,21 @@ class TestRunLoop:
                 CgConfig(20, 1e-10, 1e-2), ShConfig(), make_rng(14))
         assert len(err.value.trace) >= 1
 
+    def test_truthy_hook_ends_the_loop(self):
+        op, truth, y = small_problem(13, n=16)
+        sched = NoiseSchedule(0.5, 0.05, 6)
+        den = GaussianPriorDenoiser(np.zeros(op.domain_shape), tau=1.0)
+        seen = []
+
+        def hook(k, state):
+            seen.append(state.z)
+            return k == 2
+
+        z, trace = run(op, y, den, sched, VariantSpec(True, "sh"), CgConfig(40, 1e-10, 1e-2),
+                       ShConfig(), make_rng(21), on_iteration=hook)
+        assert [r.k for r in trace] == [0, 1, 2]
+        assert z is seen[-1]
+
     def test_seeded_run_deterministic(self):
         op, truth, y = small_problem(12, n=16)
         sched = NoiseSchedule(0.5, 0.05, 5)
@@ -243,6 +259,14 @@ class TestCertifyFixedPoint:
         cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5,
                                    dual_coupling=True, max_iters=2)
         assert not cert.converged
+
+    def test_certifies_the_shipped_loop(self, monkeypatch):
+        # a loop whose dual never accumulates must not pass the dual-on certificate
+        monkeypatch.setattr(solver, "dual_update", lambda state: state)
+        op, y, den = certification_instance(0)
+        cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
+        assert not cert.converged
+        assert cert.consensus > 1e-6
 
     def test_requires_gaussian_denoiser(self):
         op, y, _ = certification_instance(10)

@@ -238,8 +238,8 @@ class TestHomogenize:
         rng2 = make_rng(16)
         re_out, _ = homogenize(v.real, z.real, 0.7, ShConfig(), rng2)
         im_out, _ = homogenize(v.imag, z.imag, 0.7, ShConfig(), rng2)
-        assert np.allclose(out.real, re_out)
-        assert np.allclose(out.imag, im_out)
+        assert np.array_equal(out.real, re_out)
+        assert np.array_equal(out.imag, im_out)
 
     def test_deterministic(self):
         v = make_rng(17).standard_normal((24, 24))
