@@ -42,6 +42,11 @@ class LinearOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def prox_solve(self, y: np.ndarray, warm: np.ndarray, lam: float) -> np.ndarray | None:
+        """argmin_x ||Ax - y||^2 + lam ||x - warm||^2 in closed form, or None
+        when the operator has no closed form (the caller then iterates)."""
+        return None
+
     def _check_domain(self, x: np.ndarray) -> None:
         if x.shape != self.domain_shape:
             raise ValueError(f"domain shape mismatch: expected {self.domain_shape}, got {x.shape}")
@@ -382,7 +387,8 @@ class FourierMaskOperator(LinearOperator):
 
     The unitary scaling (1/sqrt(HW) forward) makes A'A an orthogonal
     projection onto the sampled lines, independent of the unnormalized
-    convention used by the spectral pipeline.
+    convention used by the spectral pipeline. The same fact makes the
+    penalized least-squares step diagonal in k-space (`prox_solve`).
     """
 
     is_complex = True
@@ -403,6 +409,22 @@ class FourierMaskOperator(LinearOperator):
         y = np.asarray(y, dtype=np.complex128)
         self._check_range(y)
         return np.fft.ifft2(self._keep * y) * self._norm
+
+    def prox_solve(self, y: np.ndarray, warm: np.ndarray, lam: float) -> np.ndarray | None:
+        """x = F'[(M y + lam F warm) / (M + lam)] with F unitary: one FFT and
+        one inverse FFT. Energy in y off the mask is ignored, as `adjoint`
+        ignores it. lam = 0 has no unique minimizer: None."""
+        if lam <= 0:
+            return None
+        y = np.asarray(y, dtype=np.complex128)
+        warm = np.asarray(warm, dtype=np.complex128)
+        self._check_range(y)
+        self._check_domain(warm)
+        spectrum = np.fft.fft2(warm)
+        spectrum *= lam / self._norm
+        spectrum += self._keep * y
+        spectrum /= self._keep + lam
+        return np.fft.ifft2(spectrum) * self._norm
 
 
 # --- test and certification operators ----------------------------------------

@@ -1,11 +1,11 @@
 """Outer dual-coupled plug-and-play iteration and its ablation variants.
 
-One iteration: (1) conjugate-gradient data-consistency solve pulled toward
-z - u, (2) optional dual shift v = x + u and noise injection (spectral
-homogenization, naive white noise, or nothing), (3) denoiser call at the
-scheduled noise level, (4) dual accumulation u += x - z. Switching the dual
-shift off and the injection off recovers the memoryless half-quadratic
-splitting baseline.
+One iteration: (1) data-consistency solve pulled toward z - u (closed form
+where the operator has one, conjugate gradients otherwise), (2) optional
+dual shift v = x + u and noise injection (spectral homogenization, naive
+white noise, or nothing), (3) denoiser call at the scheduled noise level,
+(4) dual accumulation u += x - z. Switching the dual shift off and the
+injection off recovers the memoryless half-quadratic splitting baseline.
 
 `certify_fixed_point` drives `run` at a constant noise level, without
 injection, on convex instances with the exact Gaussian-prior denoiser,
@@ -94,7 +94,7 @@ class IterationRecord:
     lam: float
     cg_iterations: int
     cg_converged: bool
-    cg_residual: float
+    cg_residual: float | None  # None when the step was solved exactly
     data_residual: float
     consensus_residual: float
     dual_norm: float
@@ -232,7 +232,7 @@ def run(
             lam=lam,
             cg_iterations=cg_res.iterations,
             cg_converged=cg_res.converged,
-            cg_residual=cg_res.residual_norms[-1],
+            cg_residual=cg_res.residual_norms[-1] if cg_res.residual_norms else None,
             data_residual=norm(op.apply(x) - y),
             consensus_residual=norm(x - z),
             dual_norm=norm(state.u),
@@ -277,7 +277,8 @@ class FixedPointCertificate:
 
 def _dense_normal_solve(op: LinearOperator, rhs: np.ndarray, lam: float) -> np.ndarray:
     """Closed-form (A'A + lam I)^-1 rhs; dense operators solve exactly,
-    anything else falls back to CG pushed to machine precision."""
+    anything else goes through the data-consistency step: the operator's own
+    closed form where it has one, else CG pushed to machine precision."""
     if isinstance(op, DenseOperator):
         a = op.matrix
         gram = a.T @ a + lam * np.eye(a.shape[1])
@@ -311,7 +312,8 @@ def certify_fixed_point(
     if lam <= 0 or sigma <= 0:
         raise ValueError("lam and sigma must be positive for certification")
     tau = denoiser.tau
-    mu0 = np.broadcast_to(denoiser.mu0, op.domain_shape).astype(np.float64)
+    mu0 = np.broadcast_to(denoiser.mu0, op.domain_shape).astype(
+        np.result_type(denoiser.mu0, np.float64))
     lam_eff = lam * sigma**2 / tau**2
 
     aty = op.adjoint(y)

@@ -93,8 +93,11 @@ def estimate_psd(r: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
     Circular (wrap-around) smoothing matches the periodicity of the DFT
     plane and preserves the total energy exactly.
     """
-    periodogram = np.abs(forward_dft(r)) ** 2
-    return ndimage.convolve(periodogram, kernel.array, mode="wrap")
+    return _smoothed_periodogram(forward_dft(r), kernel)
+
+
+def _smoothed_periodogram(spectrum: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
+    return ndimage.convolve(np.abs(spectrum) ** 2, kernel.array, mode="wrap")
 
 
 def spectral_deficit(psd: np.ndarray, sigma: float, eps: float = 0.0) -> np.ndarray:
@@ -113,15 +116,26 @@ def synthesize_complementary_noise(deficit: np.ndarray, rng: np.random.Generator
     a fresh white Gaussian draw, which keeps the spectrum Hermitian so the
     synthesized field is real (the vanishing imaginary part is asserted).
     """
+    return _real_field(_complementary_spectrum(deficit, rng))
+
+
+def _complementary_spectrum(deficit: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """sqrt(deficit) times the unit phase of a fresh white draw's spectrum."""
     deficit = np.asarray(deficit, dtype=np.float64)
     if np.any(deficit < 0):
         raise ValueError("deficit must be nonnegative")
-    n = rng.standard_normal(deficit.shape)
-    spectrum = forward_dft(n)
+    spectrum = forward_dft(rng.standard_normal(deficit.shape))
     mag = np.abs(spectrum)
     degenerate = mag < 1e-300
-    phase = np.where(degenerate, 1.0 + 0j, spectrum / np.where(degenerate, 1.0, mag))
-    field_c = inverse_dft(np.sqrt(deficit) * phase)
+    mag[degenerate] = 1.0
+    spectrum /= mag  # the phase, normalized in place
+    spectrum[degenerate] = 1.0
+    spectrum *= np.sqrt(deficit)
+    return spectrum
+
+
+def _real_field(spectrum: np.ndarray) -> np.ndarray:
+    field_c = inverse_dft(spectrum)
     worst_imag = float(np.max(np.abs(field_c.imag)))
     if worst_imag > 1e-9:
         raise AssertionError(f"synthesized noise is not real: max |imag| = {worst_imag}")
@@ -140,10 +154,15 @@ def _peak_to_floor(psd: np.ndarray) -> float:
 
 
 def _homogenize_channel(r: np.ndarray, sigma: float, cfg: ShConfig, rng: np.random.Generator):
-    psd = estimate_psd(r, cfg.kernel)
+    # r is transformed once: the effective PSD of r + noise is taken from
+    # F(r) + S, where S is the spectrum the noise was synthesized from
+    spectrum = forward_dft(r)
+    psd = _smoothed_periodogram(spectrum, cfg.kernel)
     deficit = spectral_deficit(psd, sigma, cfg.eps)
-    noise = synthesize_complementary_noise(deficit, rng)
-    effective = estimate_psd(r + noise, cfg.kernel)
+    synthesized = _complementary_spectrum(deficit, rng)
+    noise = _real_field(synthesized)
+    spectrum += synthesized
+    effective = _smoothed_periodogram(spectrum, cfg.kernel)
     return noise, psd, deficit, effective
 
 

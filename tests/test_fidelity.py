@@ -135,6 +135,75 @@ class TestInvariants:
         assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-10
 
 
+class _CgOnlyFourier(FourierMaskOperator):
+    """The masked Fourier operator without its closed form: plain CG."""
+
+    def prox_solve(self, y, warm, lam):
+        return None
+
+
+def fourier_instance(side, af, seed):
+    op = FourierMaskOperator(make_cartesian_mask(side, side, af, 2))
+    rng = make_rng(seed)
+    y, z, u = (rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+               for _ in range(3))
+    return op, y, z, u
+
+
+class TestExactFourierStep:
+    @pytest.mark.parametrize("side", [16, 37, 64])
+    @pytest.mark.parametrize("af", [1, 4, 6])
+    @pytest.mark.parametrize("lam", [1e-5, 1e-2, 1.0, 1e3])
+    def test_matches_converged_cg(self, side, af, lam):
+        op, y, z, u = fourier_instance(side, af, seed=side + af)
+        exact = prox_data_consistency(op, y, z, u, CgConfig(20, 1e-10, lam))
+        cg_op = _CgOnlyFourier(op.mask)
+        cg = prox_data_consistency(cg_op, y, z, u, CgConfig(200, 1e-14, lam))
+        assert cg.converged and cg.iterations >= 1
+        assert np.linalg.norm(exact.x - cg.x) <= 1e-12 * np.linalg.norm(cg.x)
+
+    @pytest.mark.parametrize("lam", [1e-5, 0.3, 1e3])
+    def test_solves_the_normal_equations(self, lam):
+        op, y, z, u = fourier_instance(32, 4, seed=3)
+        x = prox_data_consistency(op, y, z, u, CgConfig(20, 1e-10, lam)).x
+        lhs = op.adjoint(op.apply(x)) + lam * x
+        rhs = op.adjoint(y) + lam * (z - u)
+        assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+    def test_reports_an_exact_step(self):
+        op, y, z, u = fourier_instance(16, 4, seed=4)
+        res = prox_data_consistency(op, y, z, u, CgConfig(20, 1e-10, 0.5))
+        assert res.converged and res.iterations == 0 and res.residual_norms == []
+
+    def test_ignores_measurements_off_the_mask(self):
+        op, y, z, u = fourier_instance(24, 4, seed=5)
+        on_mask = np.where(op.mask.keep[None, :], y, 0.0)
+        full = op.prox_solve(y, z - u, 0.7)
+        masked = op.prox_solve(on_mask, z - u, 0.7)
+        assert np.array_equal(full, masked)
+
+    def test_zero_penalty_runs_cg(self):
+        # lam = 0 has no unique minimizer, so the Fourier operator falls back to
+        # CG, which converges in one step on the projection A'A and leaves the
+        # unsampled part of the warm start alone
+        op, y, z, u = fourier_instance(32, 4, seed=6)
+        assert op.prox_solve(y, z - u, 0.0) is None
+        res = prox_data_consistency(op, y, z, u, CgConfig(20, 1e-12, 0.0))
+        assert res.converged and res.iterations >= 1
+        aty = op.adjoint(y)
+        assert np.linalg.norm(op.adjoint(op.apply(res.x)) - aty) <= 1e-12 * np.linalg.norm(aty)
+        off_mask = res.x - z + u - op.adjoint(op.apply(res.x - z + u))
+        assert np.linalg.norm(off_mask) <= 1e-12 * np.linalg.norm(z - u)
+
+    def test_other_operators_keep_cg(self):
+        rng = make_rng(8)
+        dense, *_ = dense_instance(8)
+        radon = RadonOperator(make_sparse_view_geometry(4, 16))
+        for op in (dense, radon, IdentityOperator((5, 5))):
+            y = rng.standard_normal(op.range_shape)
+            assert op.prox_solve(y, rng.standard_normal(op.domain_shape), 1.0) is None
+
+
 class TestEdgeCases:
     def test_rank_deficient_unregularized_reports_nonconverged(self):
         rng = make_rng(9)

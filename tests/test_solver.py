@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dcpnp import solver
+from dcpnp.experiment import build_operator, build_phantom, default_config, simulate_measurements
 from dcpnp.fidelity import CgConfig, prox_data_consistency
 from dcpnp.grid_core import make_rng
-from dcpnp.operators import DenseOperator, IdentityOperator
+from dcpnp.operators import DenseOperator, FourierMaskOperator, IdentityOperator, make_cartesian_mask
 from dcpnp.priors import GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
 from dcpnp.solver import (
     SolverDivergence,
@@ -12,6 +15,7 @@ from dcpnp.solver import (
     VariantSpec,
     certification_instance,
     certify_fixed_point,
+    certify_pair,
     dual_update,
     initialize,
     run,
@@ -24,6 +28,18 @@ def small_problem(seed=0, n=12):
     op = DenseOperator(rng.standard_normal((n, n)) / np.sqrt(n))
     truth = rng.standard_normal((n, 1))
     return op, truth, op.apply(truth)
+
+
+def mri_certification_instance(side, complex_mean, seed=3):
+    """Masked Fourier operator (AF 4), clean measurements of a complex truth,
+    and the Gaussian-prior denoiser (tau = 1) around a real or complex mean."""
+    op = FourierMaskOperator(make_cartesian_mask(side, side, 4, 4))
+    rng = make_rng(seed)
+    y = op.apply(rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side)))
+    mu0 = rng.standard_normal((side, side))
+    if complex_mean:
+        mu0 = mu0 + 1j * rng.standard_normal((side, side))
+    return op, y, GaussianPriorDenoiser(mu0, tau=1.0)
 
 
 class TestVariantSpec:
@@ -205,6 +221,21 @@ class TestRunLoop:
         assert [r.k for r in trace] == [0, 1, 2]
         assert z is seen[-1]
 
+    def test_mri_iteration_transform_budget(self, monkeypatch):
+        # per iteration: 2 FFTs for the exact data step, 1 for the data
+        # residual, 3 per homogenized channel; plus 1 for the start A'y
+        cfg = default_config("mri", image_side=32, af=4, steps=5, tv_iters=10)
+        op = build_operator(cfg)
+        truth = build_phantom(cfg, 0)
+        y = simulate_measurements(op, truth, cfg, 0)
+        counted = []
+        for name in ("fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _f=getattr(np.fft, name), **k: counted.append(1) or _f(*a, **k))
+        run(op, y, cfg.make_denoiser(), cfg.schedule(), VariantSpec.from_label("dual=on,inject=sh"),
+            cfg.cg_config(), cfg.sh_config(), make_rng(0))
+        assert len(counted) == 9 * 5 + 1
+
     def test_seeded_run_deterministic(self):
         op, truth, y = small_problem(12, n=16)
         sched = NoiseSchedule(0.5, 0.05, 5)
@@ -267,6 +298,25 @@ class TestCertifyFixedPoint:
         cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
         assert not cert.converged
         assert cert.consensus > 1e-6
+
+    def test_complex_prior_mean_is_kept(self):
+        op, y, den = mri_certification_instance(32, complex_mean=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
+        assert cert.converged
+        assert cert.stationarity < 1e-6
+        assert cert.error_vs_optimum < 1e-5
+
+    @pytest.mark.parametrize("complex_mean", [False, True])
+    def test_mri_fixed_point(self, complex_mean):
+        # the exact data manifold on the paper's own forward model
+        tol = 1e-6
+        op, y, den = mri_certification_instance(64, complex_mean)
+        on, off, ratio = certify_pair(op, y, den, tol, 500)
+        assert on.converged and on.consensus < tol and on.stationarity < tol
+        assert off.converged and off.prediction_error < tol
+        assert ratio >= 10
 
     def test_requires_gaussian_denoiser(self):
         op, y, _ = certification_instance(10)

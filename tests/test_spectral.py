@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from dcpnp.grid_core import forward_dft, make_rng, sample_white_gaussian
+from dcpnp.grid_core import forward_dft, inverse_dft, make_rng, sample_white_gaussian
 from dcpnp.spectral import (
     ShConfig,
     SmoothingKernel,
@@ -256,6 +257,59 @@ class TestHomogenize:
         moved_hard = np.sum((out_hard - strong) ** 2)
         moved_soft = np.sum((out_soft - strong) ** 2)
         assert moved_soft > moved_hard
+
+
+def _two_transform_homogenize(v, z_prev, sigma, cfg, rng):
+    """The earlier homogenization pipeline, kept as the reference: it took
+    the effective PSD from a second transform of r + noise."""
+
+    def psd_of(grid):
+        return ndimage.convolve(np.abs(forward_dft(grid)) ** 2, cfg.kernel.array, mode="wrap")
+
+    def channel(r):
+        psd = psd_of(r)
+        deficit = spectral_deficit(psd, sigma, cfg.eps)
+        spectrum = forward_dft(rng.standard_normal(deficit.shape))
+        mag = np.abs(spectrum)
+        degenerate = mag < 1e-300
+        phase = np.where(degenerate, 1.0 + 0j, spectrum / np.where(degenerate, 1.0, mag))
+        noise = inverse_dft(np.sqrt(deficit) * phase).real
+        return noise, psd, deficit, psd_of(r + noise)
+
+    def cv(m):
+        return float(np.std(m) / np.mean(m)) if float(np.mean(m)) != 0.0 else 0.0
+
+    r = v - z_prev
+    channels = [r.real, r.imag] if np.iscomplexobj(r) else [r]
+    noises, psds, deficits, effectives = zip(*(channel(c) for c in channels))
+    noise = noises[0] if len(channels) == 1 else noises[0] + 1j * noises[1]
+    psd = sum(psds) / len(channels)
+    return v + noise, dict(
+        injected_energy=float(sum(d.sum() for d in deficits) / r.size),
+        flatness_before=sum(map(cv, psds)) / len(channels),
+        flatness_after=sum(map(cv, effectives)) / len(channels),
+        peak_to_floor=float(np.max(psd) / max(float(np.min(psd)), 1e-300)),
+    )
+
+
+class TestOneTransformOfTheResidual:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 12), (17, 17), (64, 64), (320, 320)])
+    @pytest.mark.parametrize("complex_grid", [False, True])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_matches_two_transform_pipeline(self, shape, complex_grid, eps):
+        rng = make_rng(sum(shape))
+        v, z = rng.standard_normal((2,) + shape)
+        if complex_grid:
+            v = v + 1j * rng.standard_normal(shape)
+            z = z + 1j * rng.standard_normal(shape)
+        cfg = ShConfig(eps=eps)
+        out, report = homogenize(v, z, 0.8, cfg, make_rng(3))
+        ref_out, ref = _two_transform_homogenize(v, z, 0.8, cfg, make_rng(3))
+        assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        for name in ("injected_energy", "flatness_before", "peak_to_floor"):
+            got = np.float64(getattr(report, name)).view(np.uint64)
+            assert got == np.float64(ref[name]).view(np.uint64), name
+        assert abs(report.flatness_after - ref["flatness_after"]) <= 1e-12 * ref["flatness_after"]
 
 
 class TestNaiveInject:
