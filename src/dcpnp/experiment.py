@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .fidelity import CgConfig
-from .grid_core import save_grid, save_pgm
+from .grid_core import channels, from_channels, save_grid, save_pgm
 from .metrics import psnr, ssim
 from .operators import (
     FourierMaskOperator,
@@ -93,7 +93,10 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         for label in self.variants:
             VariantSpec.from_label(label)
-        self.make_denoiser()  # an unknown kind fails here, not inside every row
+        for build in (self.make_denoiser, self.schedule, self.cg_config, self.sh_config):
+            build()  # a bad knob fails here, not in every row after the pool has forked
+        if self.task != "mri":
+            PhantomSpec(self.phantom, self.image_side)
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_max, self.sigma_min, self.steps, self.spacing)
@@ -232,9 +235,7 @@ def simulate_measurements(op: LinearOperator, truth: np.ndarray, cfg: Experiment
     y = op.apply(truth)
     if cfg.measurement_noise_std > 0:
         noise_rng = _rng_for(seed, 2)
-        noise = noise_rng.standard_normal(y.shape)
-        if np.iscomplexobj(y):
-            noise = noise + 1j * noise_rng.standard_normal(y.shape)
+        noise = from_channels([noise_rng.standard_normal(c.shape) for c in channels(y)])
         y = y + cfg.measurement_noise_std * noise
     return y
 

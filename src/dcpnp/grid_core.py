@@ -1,9 +1,13 @@
 """2D sample grids, the DFT convention, white-noise sampling, grid I/O, and
-the process-wide thread pool that grid work is spread over.
+the two ways grid work is divided: across CPUs and across channels.
 
 Grids are plain numpy arrays: real grids are 2D float64, complex grids are
 2D complex128, frequency maps are 2D nonnegative float64. All public grid
 operations validate shapes and finiteness and are pure.
+
+Parallel grid work goes through `fork_join`, the only user of the thread
+pool. A complex grid splits into its real then imaginary channel
+(`channels`), the order in which per-channel noise is drawn.
 
 DFT convention used throughout: unnormalized forward (plain sum, no 1/HW),
 inverse carries the 1/HW factor. Under this convention white noise with
@@ -16,6 +20,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,19 +41,16 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# One pool per process, shared by every caller (the Radon matvec and the TV
-# prox), since the CPUs are shared too. A forked child inherits the pool
-# object but none of its threads, so a submit there would wait forever: the
-# child forgets the pool and builds its own on first use.
+# One pool per process, shared by every `fork_join`, since the CPUs are
+# shared too. A forked child inherits the pool object but none of its
+# threads, so a submit there would wait forever: the child forgets the pool
+# and builds its own on first use.
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
 def worker_pool() -> ThreadPoolExecutor:
-    """The process-wide pool, with one thread per CPU beyond the caller's.
-
-    Work submitted to it must not itself wait on the pool.
-    """
+    """The process-wide pool, with one thread per CPU beyond the caller's."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -65,6 +67,44 @@ def _forget_pool_after_fork() -> None:
 
 if hasattr(os, "register_at_fork"):  # platforms without fork have nothing to reset
     os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def fork_join(fn: Callable, items: Sequence) -> None:
+    """Call `fn` on every item: the first on the calling thread, the others on
+    `worker_pool` (all on the caller, in order, with one item or one CPU).
+    Returns, or re-raises a call's exception, once every call has finished.
+    `fn` must not itself wait on the pool."""
+    if len(items) < 2 or available_cpus() < 2:
+        for item in items:
+            fn(item)
+        return
+    pool = worker_pool()
+    futures = [pool.submit(fn, item) for item in items[1:]]
+    try:
+        fn(items[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the call; `wait` costs ~50 us more
+    for future in futures:
+        future.result()
+
+
+def channels(g: np.ndarray) -> list[np.ndarray]:
+    """The real channels of a grid: `[g]` if real, `[g.real, g.imag]` if complex."""
+    return [g.real, g.imag] if np.iscomplexobj(g) else [g]
+
+
+def from_channels(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Inverse of `channels`: one part is a real grid, two make a complex one."""
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+def gaussian_window(half: int, std: float) -> np.ndarray:
+    """Normalized (2 half + 1)-square Gaussian window of standard deviation `std`."""
+    coords = np.arange(-half, half + 1, dtype=np.float64)
+    one_d = np.exp(-0.5 * (coords / std) ** 2)
+    k = np.outer(one_d, one_d)
+    return k / k.sum()
 
 
 def _check_grid(g: np.ndarray) -> None:
@@ -116,13 +156,7 @@ def save_grid(path, g: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", g.shape[0], g.shape[1]))
-        if np.iscomplexobj(g):
-            inter = np.empty(g.shape + (2,), dtype="<f8")
-            inter[..., 0] = g.real
-            inter[..., 1] = g.imag
-            fh.write(inter.tobytes())
-        else:
-            fh.write(np.ascontiguousarray(g, dtype="<f8").tobytes())
+        fh.write(np.stack(channels(g), axis=-1).astype("<f8", copy=False).tobytes())
 
 
 def load_grid(path) -> np.ndarray:

@@ -13,6 +13,8 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from .grid_core import gaussian_window
+
 
 def _as_comparable(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
@@ -32,13 +34,6 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 2.0) -> float:
     return 10.0 * math.log10(peak**2 / mse)
 
 
-def _ssim_window() -> np.ndarray:
-    coords = np.arange(-5, 6, dtype=np.float64)
-    one_d = np.exp(-0.5 * (coords / 1.5) ** 2)
-    k = np.outer(one_d, one_d)
-    return k / k.sum()
-
-
 def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 2.0) -> float:
     """Mean local SSIM over the interior (windows fully inside the grids)."""
     a, b = _as_comparable(a), _as_comparable(b)
@@ -46,7 +41,7 @@ def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 2.0) -> float:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     if min(a.shape) < 11:
         raise ValueError("grids must be at least 11x11 for the SSIM window")
-    window = _ssim_window()
+    window = gaussian_window(5, 1.5)
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
 

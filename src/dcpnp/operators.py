@@ -9,24 +9,23 @@ transpose of the discretized forward map, never an independent
 discretization.
 
 The Radon matrices are applied on every CPU the process may run on: each is
-cut into one row block per CPU and the blocks are multiplied on the shared
-thread pool `grid_core.worker_pool` (scipy's CSR kernel releases the GIL).
-Every row is still summed in the same order, so results are bitwise equal to
-a single-threaded product.
+cut into one nnz-balanced row range per CPU, and `grid_core.fork_join` runs
+scipy's CSR kernel (which releases the GIL) on each range, straight on the
+matrix's own arrays. Every row is still summed in the same order, so results
+are bitwise equal to a single-threaded product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import grid_core
-from .grid_core import make_rng
+from .grid_core import from_channels, make_rng
 
 
 class LinearOperator:
@@ -237,75 +236,36 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_pixels))
 
 
-class _RowBlock(NamedTuple):
-    """Consecutive rows of a CSR matrix, starting at row `first`.
-
-    `data` and `indices` are views into the matrix's arrays; only `indptr`
-    is a new array, rebased to start at 0.
-    """
-
-    first: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.indptr) - 1
-
-
-def _split_rows(matrix: sp.csr_matrix, n_blocks: int) -> list[_RowBlock]:
-    """Cut a CSR matrix into at most `n_blocks` contiguous row blocks of about
-    equal non-zero count.
-
-    No block is empty of rows, so asking for more blocks than rows gives at
-    most one block per row.
-    """
-    indptr = matrix.indptr
+def _row_ranges(matrix: sp.csr_matrix, n_ranges: int) -> list[tuple[int, int]]:
+    """Cut a CSR matrix's rows into at most `n_ranges` contiguous `(first, stop)`
+    ranges of about equal non-zero count, none of them empty of rows."""
     n_rows = matrix.shape[0]
-    cuts = np.searchsorted(indptr, np.arange(1, n_blocks) * (matrix.nnz / n_blocks))
+    cuts = np.searchsorted(matrix.indptr, np.arange(1, n_ranges) * (matrix.nnz / n_ranges))
     bounds = np.unique(np.concatenate(([0], np.minimum(cuts, n_rows), [n_rows])))
-    blocks = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        start, stop = indptr[lo], indptr[hi]
-        blocks.append(_RowBlock(lo, indptr[lo:hi + 1] - start, matrix.indices[start:stop],
-                                matrix.data[start:stop]))
-    return blocks
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-class _RowBlockedCsr:
-    """A CSR matrix whose matvec runs its row blocks on the thread pool."""
+def _matvec(matrix: sp.csr_matrix, ranges: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
+    """`matrix @ x`, each row range on its own thread through `grid_core.fork_join`."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.zeros(matrix.shape[0])
 
-    def __init__(self, matrix: sp.csr_matrix, n_blocks: int):
-        self.matrix = matrix
-        self.blocks = _split_rows(matrix, n_blocks)
+    def run(rows: tuple[int, int]) -> None:
+        # scipy's own CSR kernel adds each row's sum, in stored order, into the
+        # zeroed slice as `matrix @ x` does; indptr keeps its absolute offsets
+        first, stop = rows
+        _sparsetools.csr_matvec(stop - first, matrix.shape[1], matrix.indptr[first:stop + 1],
+                                matrix.indices, matrix.data, x, out[first:stop])
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if len(self.blocks) < 2:
-            return self.matrix @ x
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        n_rows, n_cols = self.matrix.shape
-        out = np.zeros(n_rows)
-
-        def run(block: _RowBlock) -> None:
-            # scipy's own CSR kernel: adds each row's sum, taken in stored
-            # order, into the zeroed slice, exactly as `matrix @ x` does
-            _sparsetools.csr_matvec(block.n_rows, n_cols, block.indptr, block.indices,
-                                    block.data, x, out[block.first:block.first + block.n_rows])
-
-        pool = grid_core.worker_pool()
-        futures = [pool.submit(run, block) for block in self.blocks[1:]]
-        run(self.blocks[0])
-        for future in futures:
-            future.result()
-        return out
+    grid_core.fork_join(run, ranges)
+    return out
 
 
 class RadonOperator(LinearOperator):
     """Discrete parallel-beam Radon transform with its exact transpose.
 
-    Both matrices are split into one row block per available CPU at
-    construction; with a single CPU they are multiplied directly.
+    Both matrices are cut into one row range per available CPU at
+    construction; with one CPU the whole matrix is one range.
     """
 
     def __init__(self, geo: RadonGeometry):
@@ -315,18 +275,18 @@ class RadonOperator(LinearOperator):
         self._fwd = _radon_matrix(geo)
         self._adj = sp.csr_matrix(self._fwd.T)
         n_cpus = grid_core.available_cpus()
-        self._fwd_blocks = _RowBlockedCsr(self._fwd, n_cpus)
-        self._adj_blocks = _RowBlockedCsr(self._adj, n_cpus)
+        self._fwd_ranges = _row_ranges(self._fwd, n_cpus)
+        self._adj_ranges = _row_ranges(self._adj, n_cpus)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._check_domain(x)
-        return (self._fwd_blocks @ x.ravel()).reshape(self.range_shape)
+        return _matvec(self._fwd, self._fwd_ranges, x.ravel()).reshape(self.range_shape)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         self._check_range(y)
-        return (self._adj_blocks @ y.ravel()).reshape(self.domain_shape)
+        return _matvec(self._adj, self._adj_ranges, y.ravel()).reshape(self.domain_shape)
 
 
 # --- masked Fourier encoding -------------------------------------------------
@@ -473,10 +433,7 @@ def dot_test(op: LinearOperator, rng: np.random.Generator | int = 0) -> float:
         rng = make_rng(rng)
 
     def draw(shape):
-        sample = rng.standard_normal(shape)
-        if op.is_complex:
-            sample = sample + 1j * rng.standard_normal(shape)
-        return sample
+        return from_channels([rng.standard_normal(shape) for _ in range(2 if op.is_complex else 1)])
 
     x = draw(op.domain_shape)
     y = draw(op.range_shape)

@@ -4,6 +4,9 @@ The solver only ever calls `Denoiser.denoise(v, sigma, t)`. Three analytic
 denoisers are provided for desk-scale experiments where the prior's score
 or proximal map is known exactly (Gaussian prior, TV prox, identity), plus
 a file-based handshake for plugging in an external denoiser process.
+
+The TV prox denoises the channels of a complex grid (`grid_core.channels`)
+at the same time, through `grid_core.fork_join`.
 """
 
 from __future__ import annotations
@@ -182,12 +185,13 @@ def _tv_dual_projection(v, gamma, iters, p, grad, div, target, mag, energies):
 def _tv_prox_channels(channels, gamma: float, iters: int, energies=None) -> np.ndarray:
     """Prox of gamma * TV of each of C real H x W channels, as a (C, H, W) array.
 
-    The calling thread allocates every buffer, then projects channel 0 while
-    the other channels run on `grid_core.worker_pool` (on the calling thread
-    too when there is one CPU). The work is elementwise numpy ufuncs, which
-    release the GIL, in the order the sliced two-dimensional formulation
-    takes, so the result is bitwise equal to projecting each channel alone.
-    `energies` (one channel only) receives the objective per inner iteration.
+    The calling thread allocates every buffer, since buffers allocated on a
+    worker stay cached in its glibc heap arena (mri320 peak RSS rose 6-7 MB
+    when tried); `grid_core.fork_join` then projects the channels. The work
+    is elementwise numpy ufuncs, which release the GIL, in the order the
+    sliced two-dimensional formulation takes, so the result is bitwise equal
+    to projecting each channel alone. `energies` (one channel only) receives
+    the objective per inner iteration.
     """
     c = len(channels)
     h, w = channels[0].shape
@@ -206,17 +210,7 @@ def _tv_prox_channels(channels, gamma: float, iters: int, energies=None) -> np.n
         _tv_dual_projection(channels[k], gamma, iters, p[k], grad[k], div[k], target[k],
                             mag[k], energies)
 
-    futures = []
-    serial = range(1, c)
-    if c > 1 and grid_core.available_cpus() > 1:
-        pool = grid_core.worker_pool()
-        futures = [pool.submit(run, k) for k in serial]
-        serial = ()
-    run(0)
-    for k in serial:
-        run(k)
-    for future in futures:
-        future.result()
+    grid_core.fork_join(run, range(c))
     return div.reshape(c, h, w)
 
 
@@ -259,11 +253,8 @@ class TvProxDenoiser(Denoiser):
         self.iters = int(iters)
 
     def _denoise(self, v, sigma, t):
-        gamma = self.weight * sigma
-        if np.iscomplexobj(v):
-            re, im = _tv_prox_channels([v.real, v.imag], gamma, self.iters)
-            return re + 1j * im
-        return tv_prox(v, gamma, self.iters)
+        parts = _tv_prox_channels(grid_core.channels(v), self.weight * sigma, self.iters)
+        return grid_core.from_channels(parts)
 
 
 class ExternalDenoiser(Denoiser):

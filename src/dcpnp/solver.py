@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fidelity import CgConfig, prox_data_consistency
-from .grid_core import make_rng, sample_white_gaussian
+from .grid_core import channels, from_channels, make_rng, sample_white_gaussian
 from .metrics import psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
@@ -157,13 +157,10 @@ def initialize(
 ) -> SolverState:
     """Back-projected start, white-noise prior iterate, zero dual."""
     x0 = op.adjoint(y)
-    h, w = op.domain_shape
     if op.is_complex or np.iscomplexobj(x0):
-        z0 = sample_white_gaussian(rng, h, w, init_noise_std).astype(np.complex128)
-        z0 += 1j * sample_white_gaussian(rng, h, w, init_noise_std)
         x0 = x0.astype(np.complex128)
-    else:
-        z0 = sample_white_gaussian(rng, h, w, init_noise_std)
+    h, w = op.domain_shape
+    z0 = from_channels([sample_white_gaussian(rng, h, w, init_noise_std) for _ in channels(x0)])
     u0 = np.zeros_like(z0)
     return SolverState(x=x0, z=z0, u=u0)
 

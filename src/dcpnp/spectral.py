@@ -4,7 +4,8 @@ Pipeline per call: estimate the residual against the previous prior iterate,
 smooth its periodogram, measure the per-bin deficit against the white target
 level sigma^2 * H * W, synthesize complementary noise carrying exactly that
 deficit with a transplanted random phase, and add it to the input. Complex
-grids run the pipeline independently on real and imaginary channels.
+grids run the pipeline independently on their real then imaginary channel
+(`grid_core.channels`), drawing from the generator in that order.
 
 All functions use the unnormalized-forward DFT convention from grid_core,
 under which a white field of per-pixel variance s^2 has expected per-bin
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .grid_core import forward_dft, inverse_dft, make_rng, sample_white_gaussian
+from .grid_core import channels, forward_dft, from_channels, gaussian_window, inverse_dft
+from .grid_core import make_rng, sample_white_gaussian
 
 
 @dataclass(frozen=True)
@@ -37,12 +39,7 @@ class SmoothingKernel:
 
     @property
     def array(self) -> np.ndarray:
-        half = self.window // 2
-        coords = np.arange(-half, half + 1, dtype=np.float64)
-        std = self.window / 4.0
-        one_d = np.exp(-0.5 * (coords / std) ** 2)
-        k = np.outer(one_d, one_d)
-        return k / k.sum()
+        return gaussian_window(self.window // 2, self.window / 4.0)
 
 
 @dataclass(frozen=True)
@@ -181,15 +178,15 @@ def homogenize(
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     r = estimate_residual(v, z_prev)
-    channels = [r.real, r.imag] if np.iscomplexobj(r) else [r]
     noises, psds, deficits, effectives = zip(
-        *(_homogenize_channel(c, sigma, cfg, rng) for c in channels))
-    noise = noises[0] if len(channels) == 1 else noises[0] + 1j * noises[1]
-    psd = sum(psds) / len(channels)
+        *(_homogenize_channel(c, sigma, cfg, rng) for c in channels(r)))
+    # joined before the report's temporaries, or glibc trims and re-faults the heap (mri320 +5%)
+    noise = from_channels(noises)
+    psd = sum(psds) / len(psds)
     report = SpectralReport(
         injected_energy=float(sum(d.sum() for d in deficits) / r.size),
-        flatness_before=sum(map(_coefficient_of_variation, psds)) / len(channels),
-        flatness_after=sum(map(_coefficient_of_variation, effectives)) / len(channels),
+        flatness_before=sum(map(_coefficient_of_variation, psds)) / len(psds),
+        flatness_after=sum(map(_coefficient_of_variation, effectives)) / len(psds),
         peak_to_floor=_peak_to_floor(psd),
     )
     return v + noise, report
@@ -201,9 +198,7 @@ def naive_inject(v: np.ndarray, sigma: float, rng: np.random.Generator) -> np.nd
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     v = np.asarray(v)
-    if np.iscomplexobj(v):
-        return v + sigma * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
-    return v + sigma * rng.standard_normal(v.shape)
+    return v + sigma * from_channels([rng.standard_normal(c.shape) for c in channels(v)])
 
 
 def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:

@@ -1,13 +1,23 @@
+import ast
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcpnp import grid_core
+from dcpnp.experiment import _rng_for, default_config, simulate_measurements
 from dcpnp.grid_core import (
+    channels,
+    fork_join,
     forward_dft,
+    from_channels,
+    gaussian_window,
     inverse_dft,
     load_grid,
     make_rng,
@@ -15,6 +25,9 @@ from dcpnp.grid_core import (
     save_grid,
     save_pgm,
 )
+from dcpnp.operators import FourierMaskOperator, dot_test, make_cartesian_mask
+from dcpnp.solver import initialize
+from dcpnp.spectral import naive_inject
 
 
 def is_hermitian(G):
@@ -190,3 +203,148 @@ class TestSerialization:
         data = path.read_bytes()
         assert data.startswith(b"P5\n8 6\n65535\n")
         assert len(data) == len(b"P5\n8 6\n65535\n") + 2 * 48
+
+
+class TestForkJoin:
+    def _record(self, items):
+        seen = []
+
+        def fn(item):
+            seen.append((item, threading.current_thread()))
+
+        fork_join(fn, items)
+        return seen
+
+    def test_first_item_on_caller_the_rest_on_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        seen = dict(self._record(range(5)))
+        assert seen[0] is threading.current_thread()
+        assert all(seen[k].name.startswith("dcpnp-worker") for k in range(1, 5))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 7])
+    def test_every_item_runs_exactly_once(self, monkeypatch, n_cpus, n_items):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        items = list(range(n_items))
+        assert sorted(item for item, _ in self._record(items)) == items
+
+    @pytest.mark.parametrize("n_cpus,n_items", [(1, 5), (4, 1)])
+    def test_one_cpu_or_one_item_runs_in_order_on_caller(self, monkeypatch, n_cpus, n_items):
+        def no_pool():
+            raise AssertionError("one CPU or one item must not use the thread pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        monkeypatch.setattr(grid_core, "worker_pool", no_pool)
+        seen = self._record(list(range(n_items)))
+        assert [item for item, _ in seen] == list(range(n_items))
+        assert all(thread is threading.current_thread() for _, thread in seen)
+
+    def test_pooled_exception_propagates_after_every_call(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = []
+
+        def fn(item):
+            if item == 2:
+                raise KeyError("pooled item failed")
+            done.append(item)
+
+        with pytest.raises(KeyError, match="pooled item failed"):
+            fork_join(fn, [0, 1, 2, 3])
+        assert sorted(done) == [0, 1, 3]
+
+
+def test_only_grid_core_uses_the_pool():
+    """Every parallel layer goes through `fork_join`, never the pool itself."""
+    calls = []
+    for path in sorted(Path(grid_core.__file__).parent.glob("*.py")):
+        if path.name == "grid_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("worker_pool", "submit"):
+                    calls.append(f"{path.name}:{node.lineno} {name}(")
+    assert calls == []
+
+
+class TestChannels:
+    def test_real_grid_is_one_channel(self):
+        g = make_rng(1).standard_normal((5, 7))
+        [part] = channels(g)
+        assert part is g
+        assert from_channels(channels(g)) is g
+
+    def test_complex_round_trip_is_bitwise(self):
+        rng = make_rng(2)
+        g = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        re, im = channels(g)
+        assert np.array_equal(re, g.real) and np.array_equal(im, g.imag)
+        back = from_channels(channels(g))
+        assert back.dtype == np.complex128
+        assert np.array_equal(back.view(np.uint64), g.view(np.uint64))
+
+
+class TestChannelDrawOrder:
+    """Complex noise is drawn real channel first, then imaginary."""
+
+    SIDE = 16
+
+    def _twin_draws(self, rng, scale=1.0):
+        re = scale * rng.standard_normal((self.SIDE, self.SIDE))
+        im = scale * rng.standard_normal((self.SIDE, self.SIDE))
+        return re + 1j * im
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def _operator(self):
+        return FourierMaskOperator(make_cartesian_mask(self.SIDE, self.SIDE, 4, 4))
+
+    def test_naive_inject(self):
+        v = self._twin_draws(make_rng(3))
+        got = naive_inject(v, 0.7, make_rng(4))
+        assert self._same_bits(got, v + 0.7 * self._twin_draws(make_rng(4)))
+
+    def test_initialize(self):
+        op = self._operator()
+        y = op.apply(self._twin_draws(make_rng(5)))
+        state = initialize(op, y, make_rng(6), init_noise_std=1.3)
+        assert self._same_bits(state.z, self._twin_draws(make_rng(6), 1.3))
+
+    def test_simulate_measurements(self):
+        cfg = default_config("mri", image_side=self.SIDE, af=4, center_lines=4,
+                             measurement_noise_std=0.05)
+        op = self._operator()
+        truth = self._twin_draws(make_rng(7))
+        got = simulate_measurements(op, truth, cfg, seed=3)
+        want = op.apply(truth) + 0.05 * self._twin_draws(_rng_for(3, 2))
+        assert self._same_bits(got, want)
+
+    def test_dot_test(self):
+        seen = {}
+
+        class Recording(FourierMaskOperator):
+            def apply(self, x):
+                seen["x"] = x
+                return super().apply(x)
+
+            def adjoint(self, y):
+                seen["y"] = y
+                return super().adjoint(y)
+
+        dot_test(Recording(make_cartesian_mask(self.SIDE, self.SIDE, 4, 4)), make_rng(8))
+        twin = make_rng(8)
+        assert self._same_bits(seen["x"], self._twin_draws(twin))
+        assert self._same_bits(seen["y"], self._twin_draws(twin))
+
+
+def test_gaussian_window_is_the_normalized_outer_product():
+    coords = np.arange(-3, 4, dtype=np.float64)
+    one_d = np.exp(-0.5 * (coords / 1.75) ** 2)
+    want = np.outer(one_d, one_d)
+    want /= want.sum()
+    window = gaussian_window(3, 1.75)
+    assert window.shape == (7, 7)
+    assert np.array_equal(window, want)
+    assert np.array_equal(window, window.T) and np.array_equal(window, window[::-1])

@@ -191,6 +191,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown denoiser"):
             ExperimentConfig(denoiser=kind)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("phantom", "bogus", "unknown phantom kind"),
+        ("spacing", "cubic", "unknown spacing"),
+        ("sh_window", 6, "odd positive integer"),
+        ("cg_iters", 0, "max_iters must be at least 1"),
+        ("steps", 0, "steps must be at least 1"),
+        ("image_side", 8, "phantom side must be at least 16"),
+    ])
+    def test_bad_knob_rejected_at_construction(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{field: value})
+
+    def test_mri_ignores_the_ct_phantom(self):
+        assert ExperimentConfig(task="mri", phantom="bogus", image_side=8).image_side == 8
+
 
 class TestRunExperiment:
     def test_grid_size_counts(self, tmp_path):

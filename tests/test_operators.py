@@ -279,11 +279,11 @@ class TestThreadedRadon:
 
     @pytest.mark.parametrize("n_cpus", [2, 3])
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
-    def test_blocked_matvec_bitwise_equal_to_matrix(self, monkeypatch, kind, n_cpus):
+    def test_ranged_matvec_bitwise_equal_to_matrix(self, monkeypatch, kind, n_cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
         op = RadonOperator(self.GEOMETRIES[kind]())
-        assert len(op._fwd_blocks.blocks) == n_cpus
-        assert len(op._adj_blocks.blocks) == n_cpus
+        assert len(op._fwd_ranges) == n_cpus
+        assert len(op._adj_ranges) == n_cpus
         rng = make_rng(7)
         x = rng.standard_normal(op.domain_shape)
         y = rng.standard_normal(op.range_shape)
@@ -310,36 +310,30 @@ class TestThreadedRadon:
         for got, want in zip(results, expected):
             assert all(np.array_equal(g, want) for g in got)
 
-    def test_blocks_are_views_with_balanced_nnz(self, monkeypatch):
+    def test_ranges_have_balanced_nnz(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         op = RadonOperator(make_limited_angle_geometry(90, 90.0, 48))
-        for whole, blocked in ((op._fwd, op._fwd_blocks), (op._adj, op._adj_blocks)):
-            for block in blocked.blocks:
-                assert np.shares_memory(block.data, whole.data)
-                assert np.shares_memory(block.indices, whole.indices)
-            counts = [len(block.data) for block in blocked.blocks]
+        for whole, ranges in ((op._fwd, op._fwd_ranges), (op._adj, op._adj_ranges)):
+            assert [first for first, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+            assert ranges[0][0] == 0 and ranges[-1][1] == whole.shape[0]
+            counts = [whole.indptr[stop] - whole.indptr[first] for first, stop in ranges]
             assert sum(counts) == whole.nnz
             assert max(counts) - min(counts) <= 2 * np.diff(whole.indptr).max()
 
-    def test_split_more_blocks_than_rows(self):
+    def test_more_ranges_than_rows(self):
         matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0],
                                          [0.0, 5.0, 6.0]]))
-        blocks = operators._split_rows(matrix, 50)
-        assert 1 <= len(blocks) <= matrix.shape[0]
-        sizes = [block.n_rows for block in blocks]
-        assert min(sizes) >= 1
-        assert [block.first for block in blocks] == list(np.cumsum([0] + sizes[:-1]))
-        stacked = sp.vstack([sp.csr_matrix((b.data, b.indices, b.indptr), shape=(b.n_rows, 3))
-                             for b in blocks])
-        assert np.array_equal(stacked.toarray(), matrix.toarray())
+        ranges = operators._row_ranges(matrix, 50)
+        assert 1 <= len(ranges) <= matrix.shape[0]
+        assert min(stop - first for first, stop in ranges) >= 1
+        assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == matrix.shape[0]
+        x = np.array([1.5, -2.0, 0.25])
+        assert np.array_equal(operators._matvec(matrix, ranges, x), matrix @ x)
 
-    def test_split_single_block(self):
+    def test_single_range(self):
         matrix = RadonOperator(make_sparse_view_geometry(6, 24))._fwd
-        [block] = operators._split_rows(matrix, 1)
-        assert block.first == 0 and block.n_rows == matrix.shape[0]
-        assert np.shares_memory(block.data, matrix.data)
-        assert np.shares_memory(block.indices, matrix.indices)
-        assert np.array_equal(block.indptr, matrix.indptr)
+        assert operators._row_ranges(matrix, 1) == [(0, matrix.shape[0])]
 
     def test_single_cpu_multiplies_directly(self, monkeypatch):
         def no_pool():
