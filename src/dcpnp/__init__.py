@@ -11,7 +11,6 @@ from .grid_core import (
     inverse_dft,
     load_grid,
     make_rng,
-    sample_white_gaussian,
     save_grid,
     save_pgm,
 )

@@ -21,8 +21,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import experiment
 from .experiment import default_config, load_config
 from .grid_core import make_rng
@@ -74,11 +72,7 @@ def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     rows = experiment.ablate(cfg)
     ok = _report_rows(rows)
-    by_variant = {}
-    for row in rows:
-        if row.status == "ok":
-            by_variant.setdefault(row.variant, []).append(row.psnr)
-    means = {v: float(np.mean(p)) for v, p in by_variant.items()}
+    means = experiment.mean_psnr(rows)
     if len(means) == len(experiment.ABLATION_VARIANTS):
         hqs = means["dual=off,inject=none"]
         dc = means["dual=on,inject=none"]
@@ -128,7 +122,7 @@ def cmd_dot_test(args) -> int:
     ]
     worst = 0.0
     for name, op in cases:
-        value = dot_test(op, make_rng(args.seed if args.seed is not None else 0))
+        value = dot_test(op, make_rng(args.seed))
         worst = max(worst, value)
         print(f"{name:22s} discrepancy {value:.3e}  [{'ok' if value < 1e-10 else 'FAIL'}]")
     return 0 if worst < 1e-10 else 1

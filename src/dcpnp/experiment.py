@@ -95,7 +95,9 @@ class ExperimentConfig:
             VariantSpec.from_label(label)
         for build in (self.make_denoiser, self.schedule, self.cg_config, self.sh_config):
             build()  # a bad knob fails here, not in every row after the pool has forked
-        if self.task != "mri":
+        if self.task == "mri":  # builds its own phantom, so only the kind must exist
+            PhantomSpec(self.phantom)
+        else:
             PhantomSpec(self.phantom, self.image_side)
 
     def schedule(self) -> NoiseSchedule:
@@ -122,9 +124,8 @@ class ExperimentConfig:
 
 # task-specific overrides applied on top of the dataclass defaults
 _TASK_DEFAULTS = {
-    "svct": {"n_views": 20, "cg_iters": 20},
-    "lact": {"n_views": 90, "max_angle": 90.0, "cg_iters": 100},
-    "mri": {"image_side": 320, "cg_iters": 20},
+    "lact": {"n_views": 90, "cg_iters": 100},
+    "mri": {"image_side": 320},
 }
 
 
@@ -389,6 +390,16 @@ def ablate(cfg: ExperimentConfig, write_outputs: bool = True) -> list[MetricRow]
     return run_experiment(cfg, write_outputs)
 
 
+def mean_psnr(rows: list[MetricRow]) -> dict[str, float]:
+    """{variant: mean PSNR of its ok rows}, in first-seen order; a variant
+    with no ok row is left out."""
+    by_variant: dict[str, list[float]] = {}
+    for row in rows:
+        if row.status == "ok":
+            by_variant.setdefault(row.variant, []).append(row.psnr)
+    return {variant: float(np.mean(values)) for variant, values in by_variant.items()}
+
+
 def sweep_nfe(cfg: ExperimentConfig, step_counts=(10, 20, 30, 50, 100),
               variants=("dual=off,inject=none", "dual=on,inject=sh"),
               write_outputs: bool = True):
@@ -402,10 +413,9 @@ def sweep_nfe(cfg: ExperimentConfig, step_counts=(10, 20, 30, 50, 100),
         sub = dataclasses.replace(cfg, steps=steps, variants=tuple(variants))
         rows = run_experiment(sub, write_outputs=False)
         rows_all.extend((steps, row) for row in rows)
+        means = mean_psnr(rows)
         for label in variants:
-            vals = [r.psnr for s, r in rows_all
-                    if s == steps and r.variant == label and r.status == "ok"]
-            results[(label, steps)] = float(np.mean(vals)) if vals else float("nan")
+            results[(label, steps)] = means.get(label, float("nan"))
     if write_outputs:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""2D sample grids, the DFT convention, white-noise sampling, grid I/O, and
+"""2D sample grids, the DFT convention, seeded generators, grid I/O, and
 the two ways grid work is divided: across CPUs and across channels.
 
 Grids are plain numpy arrays: real grids are 2D float64, complex grids are
@@ -130,17 +130,6 @@ def inverse_dft(G: np.ndarray) -> np.ndarray:
     G = np.asarray(G)
     _check_grid(G)
     return np.fft.ifft2(G)
-
-
-def sample_white_gaussian(rng: np.random.Generator, h: int, w: int, std: float) -> np.ndarray:
-    """I.i.d. zero-mean Gaussian grid with the given standard deviation."""
-    if std < 0:
-        raise ValueError(f"std must be nonnegative, got {std}")
-    if h < 1 or w < 1:
-        raise ValueError(f"grid dimensions must be positive, got {h}x{w}")
-    if std == 0.0:
-        return np.zeros((h, w))
-    return std * rng.standard_normal((h, w))
 
 
 # --- serialization ---------------------------------------------------------

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from . import grid_core
-from .grid_core import from_channels, make_rng
+from .grid_core import from_channels
 
 
 class LinearOperator:
@@ -427,10 +427,8 @@ class IdentityOperator(LinearOperator):
         return np.array(y, copy=True)
 
 
-def dot_test(op: LinearOperator, rng: np.random.Generator | int = 0) -> float:
+def dot_test(op: LinearOperator, rng: np.random.Generator) -> float:
     """Normalized adjoint discrepancy |<Ax,y> - <x,A'y>| / (|Ax||y| + tiny)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = make_rng(rng)
 
     def draw(shape):
         return from_channels([rng.standard_normal(shape) for _ in range(2 if op.is_complex else 1)])

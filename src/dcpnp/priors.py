@@ -120,19 +120,6 @@ class GaussianPriorDenoiser(Denoiser):
 # --- total-variation prox ----------------------------------------------------
 
 
-def _grad(z: np.ndarray) -> np.ndarray:
-    g = np.zeros((2,) + z.shape, dtype=z.dtype)
-    g[0, :-1, :] = z[1:, :] - z[:-1, :]
-    g[1, :, :-1] = z[:, 1:] - z[:, :-1]
-    return g
-
-
-def total_variation(z: np.ndarray) -> float:
-    """Isotropic TV: sum of per-pixel gradient magnitudes."""
-    g = _grad(z)
-    return float(np.sum(np.sqrt(g[0] ** 2 + g[1] ** 2)))
-
-
 # The dual field of one H x W channel lives in one flat buffer laid out as
 # [W zeros | p0 | p1], with p0 the vertical and p1 the horizontal component,
 # each row-major. The projection keeps p0's last row and p1's last column at
@@ -151,7 +138,7 @@ def _div_into(p: np.ndarray, w: int, out: np.ndarray) -> None:
     np.subtract(out, p[w + n - 1:w + 2 * n - 1], out=out)
 
 
-def _tv_dual_projection(v, gamma, iters, p, grad, div, target, mag, energies):
+def _tv_dual_projection(v, gamma, iters, p, grad, div, target, mag):
     """Run the dual projection of one channel in its own buffers; z ends in `div`."""
     h, w = v.shape
     n = h * w
@@ -173,31 +160,26 @@ def _tv_dual_projection(v, gamma, iters, p, grad, div, target, mag, energies):
         np.sqrt(mag, out=mag)
         np.maximum(mag, 1.0, out=mag)
         np.divide(components, mag, out=components)
-        if energies is not None:
-            _div_into(p, w, div)
-            z = v - gamma * div.reshape(h, w)
-            energies.append(0.5 * float(np.sum((z - v) ** 2)) + gamma * total_variation(z))
     _div_into(p, w, div)
     np.multiply(div, gamma, out=div)
     np.subtract(v, div.reshape(h, w), out=div.reshape(h, w))
 
 
-def _tv_prox_channels(channels, gamma: float, iters: int, energies=None) -> np.ndarray:
-    """Prox of gamma * TV of each of C real H x W channels, as a (C, H, W) array.
+def _tv_prox_channels(channels, gamma: float, iters: int) -> np.ndarray:
+    """Prox of gamma * TV of each of C real H x W channels, as a (C, H, W) array,
+    by Chambolle's dual gradient projection with the fixed step 1/8 (the
+    spectral bound of the discrete gradient).
 
     The calling thread allocates every buffer, since buffers allocated on a
     worker stay cached in its glibc heap arena (mri320 peak RSS rose 6-7 MB
     when tried); `grid_core.fork_join` then projects the channels. The work
     is elementwise numpy ufuncs, which release the GIL, in the order the
     sliced two-dimensional formulation takes, so the result is bitwise equal
-    to projecting each channel alone. `energies` (one channel only) receives
-    the objective per inner iteration.
+    to projecting each channel alone.
     """
     c = len(channels)
     h, w = channels[0].shape
     if gamma == 0.0:
-        if energies is not None:
-            energies.append(0.0)
         return np.array(channels)
     n = h * w
     p = np.zeros((c, w + 2 * n))
@@ -207,28 +189,10 @@ def _tv_prox_channels(channels, gamma: float, iters: int, energies=None) -> np.n
     mag = np.empty((c, n))
 
     def run(k: int) -> None:
-        _tv_dual_projection(channels[k], gamma, iters, p[k], grad[k], div[k], target[k],
-                            mag[k], energies)
+        _tv_dual_projection(channels[k], gamma, iters, p[k], grad[k], div[k], target[k], mag[k])
 
     grid_core.fork_join(run, range(c))
     return div.reshape(c, h, w)
-
-
-def tv_prox(v: np.ndarray, gamma: float, iters: int = 50,
-            track_energy: bool = False):
-    """Approximate prox of gamma * TV at v by dual gradient projection.
-
-    Fixed dual step 1/8 (the spectral bound of the discrete gradient);
-    `track_energy` additionally returns the primal objective
-    0.5 ||z - v||^2 + gamma TV(z) per inner iteration.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if np.iscomplexobj(v):
-        raise ValueError("tv_prox expects a real grid; split complex grids per channel")
-    energies = [] if track_energy else None
-    [z] = _tv_prox_channels([v], gamma, iters, energies)
-    return (z, energies) if track_energy else z
 
 
 class TvProxDenoiser(Denoiser):

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .fidelity import CgConfig, prox_data_consistency
-from .grid_core import channels, from_channels, make_rng, sample_white_gaussian
+from .grid_core import channels, from_channels, make_rng
 from .metrics import psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
@@ -89,6 +89,13 @@ class SolverState:
 
 @dataclass
 class IterationRecord:
+    """One outer iteration, one `trace.csv` row; the fields are its columns.
+
+    `data_residual` is ||Ax - y|| of the data-step output x, not of the
+    prior iterate z that `run` returns: the `data_residual` of
+    `metrics.csv` is that of z, and the two can order variants oppositely.
+    """
+
     k: int
     sigma: float
     lam: float
@@ -115,11 +122,7 @@ class IterationTrace:
     def __iter__(self):
         return iter(self.records)
 
-    TRACE_COLUMNS = (
-        "k", "sigma", "lam", "cg_iterations", "cg_converged", "cg_residual",
-        "data_residual", "consensus_residual", "dual_norm", "psnr",
-        "injected_energy", "flatness_before", "flatness_after", "peak_to_floor",
-    )
+    TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
     SPECTRAL_COLUMNS = (
         "k", "sigma", "injected_energy", "flatness_before", "flatness_after",
         "peak_to_floor",
@@ -159,8 +162,10 @@ def initialize(
     x0 = op.adjoint(y)
     if op.is_complex or np.iscomplexobj(x0):
         x0 = x0.astype(np.complex128)
-    h, w = op.domain_shape
-    z0 = from_channels([sample_white_gaussian(rng, h, w, init_noise_std) for _ in channels(x0)])
+    if init_noise_std < 0:
+        raise ValueError(f"init_noise_std must be nonnegative, got {init_noise_std}")
+    z0 = from_channels([init_noise_std * rng.standard_normal(op.domain_shape)
+                        for _ in channels(x0)])
     u0 = np.zeros_like(z0)
     return SolverState(x=x0, z=z0, u=u0)
 
@@ -234,12 +239,8 @@ def run(
             consensus_residual=norm(x - z),
             dual_norm=norm(state.u),
             psnr=psnr(z, ground_truth, psnr_peak) if ground_truth is not None else None,
+            **(asdict(report) if report is not None else {}),
         )
-        if report is not None:
-            record.injected_energy = report.injected_energy
-            record.flatness_before = report.flatness_before
-            record.flatness_after = report.flatness_after
-            record.peak_to_floor = report.peak_to_floor
         trace.records.append(record)
         _check_state_finite(state, trace, k)
         if on_iteration is not None and on_iteration(k, state):

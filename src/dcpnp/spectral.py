@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid_core import channels, forward_dft, from_channels, gaussian_window, inverse_dft
-from .grid_core import make_rng, sample_white_gaussian
+from .grid_core import make_rng
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:
     acc = np.zeros((side, side))
     for seed in range(n_seeds):
         rng = make_rng(seed)
-        residual = sample_white_gaussian(rng, side, side, 0.5 * sigma)
+        residual = 0.5 * sigma * rng.standard_normal((side, side))
         homogenized, _ = homogenize(residual, np.zeros_like(residual), sigma, cfg, rng)
         acc += estimate_psd(homogenized, cfg.kernel)
     mean_psd = acc / n_seeds

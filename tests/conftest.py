@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import dcpnp
+
+# Subprocesses that import dcpnp (external denoiser scripts, the CLI entry
+# point) find the same copy as this session, installed or not.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(dcpnp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line with its measured statistic and runtime."""
 
+import csv
 import dataclasses
 import time
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcpnp.experiment import ExperimentConfig, ablate, run_experiment
+from dcpnp.experiment import ExperimentConfig, _run_dir, ablate, mean_psnr, run_experiment
 from dcpnp.fidelity import CgConfig, prox_data_consistency
 from dcpnp.grid_core import make_rng
 from dcpnp.operators import (
@@ -153,56 +154,49 @@ SVCT_BENCHMARK = dict(
 )
 
 
-def _run_benchmark_variant(params: dict, variant_label: str, steps: int | None = None):
-    """Direct solver runs over the benchmark seeds; returns (mean PSNR, traces)."""
-    from dcpnp.experiment import build_operator, build_phantom, simulate_measurements
-    from dcpnp.priors import NoiseSchedule
-    from dcpnp.solver import VariantSpec
-    from dcpnp.solver import run as solver_run
-
-    cfg = ExperimentConfig(**params)
-    if steps is not None:
-        cfg = dataclasses.replace(cfg, steps=steps)
-    op = build_operator(cfg)
-    variant = VariantSpec.from_label(variant_label)
-    psnrs, traces = [], []
-    for seed in cfg.seeds:
-        truth = build_phantom(cfg, seed)
-        y = simulate_measurements(op, truth, cfg, seed)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
-        _, trace = solver_run(op, y, cfg.make_denoiser(), cfg.schedule(), variant,
-                              cfg.cg_config(), cfg.sh_config(), rng,
-                              ground_truth=truth, psnr_peak=cfg.psnr_peak)
-        psnrs.append(trace.records[-1].psnr)
-        traces.append(trace)
-    return float(np.mean(psnrs)), traces
+def _run_benchmark(params: dict, variants: tuple[str, ...], steps: int, out_dir: Path):
+    """The benchmark config's rows with these variants and budget, run by
+    `run_experiment` as `dcpnp ablate` runs them; returns (config, rows)."""
+    cfg = dataclasses.replace(ExperimentConfig(**params), variants=variants, steps=steps,
+                              out_dir=str(out_dir))
+    rows = run_experiment(cfg)
+    assert [row.status for row in rows] == ["ok"] * len(rows)
+    return cfg, rows
 
 
-def _assert_final_beats_initial(traces):
+def _assert_final_beats_initial(cfg: ExperimentConfig, rows):
     # trajectories are not monotone under the schedule, but every benchmark
     # run must end better than it started
-    for trace in traces:
-        assert trace.records[-1].psnr > trace.records[0].psnr
+    for row in rows:
+        with open(_run_dir(cfg, row.variant, row.seed) / "trace.csv", newline="") as fh:
+            psnrs = [float(record["psnr"]) for record in csv.DictReader(fh)]
+        assert psnrs[-1] > psnrs[0], (row.variant, row.seed)
 
 
-def test_ablation_ordering_direction():
+def test_ablation_ordering_direction(tmp_path):
     with Criterion("ablation ordering on limited-angle benchmark", 300.0) as c:
-        hqs, hqs_tr = _run_benchmark_variant(LACT_BENCHMARK, "dual=off,inject=none")
-        dc, dc_tr = _run_benchmark_variant(LACT_BENCHMARK, "dual=on,inject=none")
-        full, full_tr = _run_benchmark_variant(LACT_BENCHMARK, "dual=on,inject=sh")
+        cfg, rows = _run_benchmark(LACT_BENCHMARK, ("dual=off,inject=none", "dual=on,inject=none",
+                                                    "dual=on,inject=sh"), 50, tmp_path)
+        means = mean_psnr(rows)
+        hqs, dc, full = (means[label] for label in cfg.variants)
         c.detail = (f"hqs {hqs:.3f} dB | dual-only {dc:.3f} dB | full {full:.3f} dB "
                     f"(full-dual {full-dc:+.3f}, dual-hqs {dc-hqs:+.3f})")
-        _assert_final_beats_initial(hqs_tr + dc_tr + full_tr)
+        _assert_final_beats_initial(cfg, rows)
         assert full >= dc, "homogenized variant must not trail plain dual coupling"
         assert dc > hqs, "dual coupling must strictly beat the memoryless baseline"
 
 
-def test_convergence_speed_direction():
+def test_convergence_speed_direction(tmp_path):
     with Criterion("convergence speed on sparse-view benchmark", 300.0) as c:
-        full_50, full_tr = _run_benchmark_variant(SVCT_BENCHMARK, "dual=on,inject=sh", steps=50)
-        hqs_100, hqs_tr = _run_benchmark_variant(SVCT_BENCHMARK, "dual=off,inject=none", steps=100)
+        full_cfg, full_rows = _run_benchmark(SVCT_BENCHMARK, ("dual=on,inject=sh",), 50,
+                                             tmp_path / "full")
+        hqs_cfg, hqs_rows = _run_benchmark(SVCT_BENCHMARK, ("dual=off,inject=none",), 100,
+                                           tmp_path / "memoryless")
+        [full_50] = mean_psnr(full_rows).values()
+        [hqs_100] = mean_psnr(hqs_rows).values()
         c.detail = f"full@50 {full_50:.2f} dB vs memoryless@100 {hqs_100:.2f} dB"
-        _assert_final_beats_initial(full_tr + hqs_tr)
+        _assert_final_beats_initial(full_cfg, full_rows)
+        _assert_final_beats_initial(hqs_cfg, hqs_rows)
         assert full_50 >= hqs_100
 
 

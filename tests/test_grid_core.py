@@ -21,7 +21,6 @@ from dcpnp.grid_core import (
     inverse_dft,
     load_grid,
     make_rng,
-    sample_white_gaussian,
     save_grid,
     save_pgm,
 )
@@ -137,32 +136,16 @@ def test_parseval_property(h, w, seed):
     assert abs(np.sum(np.abs(G) ** 2) - rhs) / rhs < 1e-10
 
 
-class TestWhiteGaussian:
-    def test_zero_std_gives_zero_grid(self):
-        g = sample_white_gaussian(make_rng(0), 5, 7, 0.0)
-        assert np.all(g == 0.0)
-
+class TestMakeRng:
     def test_same_seed_same_grid(self):
-        a = sample_white_gaussian(make_rng(42), 16, 16, 2.0)
-        b = sample_white_gaussian(make_rng(42), 16, 16, 2.0)
+        a = 2.0 * make_rng(42).standard_normal((16, 16))
+        b = 2.0 * make_rng(42).standard_normal((16, 16))
         assert np.array_equal(a, b)
-
-    def test_moments_within_standard_error(self):
-        # n = 65536 samples: se(mean) = 1/256, allow 5 se; var bounds from
-        # chi-square concentration (~0.8% relative at 5 sigma)
-        g = sample_white_gaussian(make_rng(123), 256, 256, 1.0)
-        assert abs(float(g.mean())) < 0.02
-        assert 0.97 < float(g.var()) < 1.03
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            sample_white_gaussian(make_rng(0), 4, 4, -1.0)
 
     def test_reproducible_across_processes(self):
         code = (
-            "import numpy as np\n"
-            "from dcpnp.grid_core import make_rng, sample_white_gaussian\n"
-            "g = sample_white_gaussian(make_rng(99), 8, 8, 1.5)\n"
+            "from dcpnp.grid_core import make_rng\n"
+            "g = 1.5 * make_rng(99).standard_normal((8, 8))\n"
             "print(repr(g.tobytes().hex()))\n"
         )
         outputs = [

@@ -10,15 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dcpnp
 from dcpnp import cli, experiment
 from dcpnp.experiment import (
     ExperimentConfig,
+    MetricRow,
     ablate,
     build_operator,
     build_phantom,
     default_config,
     load_config,
+    mean_psnr,
     run_experiment,
     run_row,
     sweep_nfe,
@@ -152,11 +153,12 @@ class TestConfig:
     def test_defaults_reproduce_reference_geometry(self):
         svct = default_config("svct")
         assert svct.n_views == 20 and svct.image_side == 256 and svct.steps == 50
+        assert svct.cg_iters == 20
         assert build_operator(svct).range_shape == (20, 363)
         lact = default_config("lact")
         assert lact.n_views == 90 and lact.max_angle == 90.0 and lact.cg_iters == 100
         mri = default_config("mri")
-        assert mri.image_side == 320 and mri.af in (6, 10)
+        assert mri.image_side == 320 and mri.af in (6, 10) and mri.cg_iters == 20
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(3, 4, 5))
@@ -203,8 +205,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**{field: value})
 
-    def test_mri_ignores_the_ct_phantom(self):
-        assert ExperimentConfig(task="mri", phantom="bogus", image_side=8).image_side == 8
+    def test_unknown_phantom_rejected_for_every_task(self):
+        for task in experiment.TASKS:
+            with pytest.raises(ValueError, match="unknown phantom kind"):
+                ExperimentConfig(task=task, phantom="bogus")
+        # MRI builds its own phantom, so the CT phantom's minimum side does not apply
+        assert ExperimentConfig(task="mri", image_side=8).image_side == 8
 
 
 class TestRunExperiment:
@@ -309,6 +315,32 @@ class TestRunExperiment:
         assert set(results) == {("dual=on,inject=sh", 2), ("dual=on,inject=sh", 3)}
 
 
+def _row(variant: str, seed: int, value: float, status: str = "ok") -> MetricRow:
+    return MetricRow("svct", variant, seed, value, 0.5, 1.0, 0.0, status)
+
+
+class TestMeanPsnr:
+    def test_groups_by_variant_in_first_seen_order(self):
+        rows = [_row("b", 0, 10.0), _row("a", 0, 1.0), _row("b", 1, 20.0), _row("a", 1, 3.0)]
+        means = mean_psnr(rows)
+        assert list(means) == ["b", "a"]
+        assert means == {"b": 15.0, "a": 2.0}
+
+    def test_skips_rows_that_failed(self):
+        rows = [_row("a", 0, 10.0), _row("a", 1, float("nan"), "error: boom"), _row("a", 2, 20.0)]
+        assert mean_psnr(rows) == {"a": 15.0}
+
+    def test_variant_without_ok_row_is_left_out_and_ablate_fails(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        *others, full = experiment.ABLATION_VARIANTS
+        rows = [_row(label, 0, 20.0 + i) for i, label in enumerate(others)]
+        rows.append(_row(full, 0, float("nan"), "error: boom"))
+        assert list(mean_psnr(rows)) == others
+        monkeypatch.setattr(experiment, "ablate", lambda cfg: rows)
+        assert cli.main(["ablate", "--out", str(tmp_path)]) == 1
+        assert "PASS" not in capsys.readouterr().out
+
+
 # Builds a Radon operator and applies it, so the parent holds a live matvec
 # thread pool, then runs the ablation grid of the config file in argv[1].
 _ABLATE_AFTER_APPLY = """
@@ -336,14 +368,13 @@ ablate(cfg)
 
 
 def _run_python(script: str, *args: str, env_update=None, drop_env=(), timeout: float = 120.0):
-    """Run a Python snippet against this dcpnp in a new process group; on timeout
-    kill the whole group (a hung worker pool included) and fail."""
+    """Run a Python snippet against this dcpnp (conftest sets PYTHONPATH) in a
+    new process group; on timeout kill the whole group (a hung worker pool
+    included) and fail."""
     env = dict(os.environ)
     for name in drop_env:
         env.pop(name, None)
     env.update(env_update or {})
-    src = str(Path(dcpnp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.Popen([sys.executable, "-c", script, *args], env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             start_new_session=True)

@@ -81,6 +81,10 @@ class TestInitialize:
         state = initialize(op, y, make_rng(0))
         assert np.allclose(state.x, op.adjoint(y))
 
+    def test_negative_noise_std_rejected(self):
+        with pytest.raises(ValueError, match="init_noise_std must be nonnegative"):
+            initialize(IdentityOperator((8, 8)), np.ones((8, 8)), make_rng(0), init_noise_std=-1.0)
+
 
 class TestDualUpdate:
     def test_consensus_leaves_dual_unchanged(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from dcpnp.grid_core import forward_dft, inverse_dft, make_rng, sample_white_gaussian
+from dcpnp.grid_core import forward_dft, inverse_dft, make_rng
 from dcpnp.spectral import (
     ShConfig,
     SmoothingKernel,
@@ -77,7 +77,7 @@ class TestEstimatePsd:
         kernel = SmoothingKernel()
         acc = np.zeros((side, side))
         for seed in range(n_seeds):
-            r = sample_white_gaussian(make_rng(seed), side, side, 1.0)
+            r = make_rng(seed).standard_normal((side, side))
             acc += estimate_psd(r, kernel)
         mean = acc / n_seeds
         target = side * side
