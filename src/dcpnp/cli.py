@@ -73,17 +73,17 @@ def cmd_ablate(args) -> int:
     rows = experiment.ablate(cfg)
     ok = _report_rows(rows)
     means = experiment.mean_psnr(rows)
-    if len(means) == len(experiment.ABLATION_VARIANTS):
-        hqs = means["dual=off,inject=none"]
-        dc = means["dual=on,inject=none"]
-        full = means["dual=on,inject=sh"]
-        print(f"mean psnr: hqs {hqs:.2f} | dual-only {dc:.2f} | full {full:.2f}")
-        ordering = full >= dc > hqs
-        print(f"ordering full >= dual-only > hqs: {'PASS' if ordering else 'FAIL'}")
-        ok = ok and ordering
-    else:
-        ok = False
-    return 0 if ok else 1
+    missing = [label for label in experiment.ABLATION_VARIANTS if label not in means]
+    if missing:
+        print(f"ordering full >= dual-only > hqs: FAIL (no ok row for {'; '.join(missing)})")
+        return 1
+    hqs = means["dual=off,inject=none"]
+    dc = means["dual=on,inject=none"]
+    full = means["dual=on,inject=sh"]
+    print(f"mean psnr: hqs {hqs:.2f} | dual-only {dc:.2f} | full {full:.2f}")
+    ordering = full >= dc > hqs
+    print(f"ordering full >= dual-only > hqs: {'PASS' if ordering else 'FAIL'}")
+    return 0 if ok and ordering else 1
 
 
 def cmd_sweep_nfe(args) -> int:

@@ -4,8 +4,12 @@ Pipeline per call: estimate the residual against the previous prior iterate,
 smooth its periodogram, measure the per-bin deficit against the white target
 level sigma^2 * H * W, synthesize complementary noise carrying exactly that
 deficit with a transplanted random phase, and add it to the input. Complex
-grids run the pipeline independently on their real then imaginary channel
-(`grid_core.channels`), drawing from the generator in that order.
+grids run the pipeline on their real and imaginary channel
+(`grid_core.channels`) at the same time, through `grid_core.fork_join`. The
+calling thread draws both white fields first, real channel first, and
+allocates every buffer; each channel then works in place in its slice of
+those buffers, so the result is bitwise equal to running the channels one
+after the other.
 
 All functions use the unnormalized-forward DFT convention from grid_core,
 under which a white field of per-pixel variance s^2 has expected per-bin
@@ -19,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .grid_core import channels, forward_dft, from_channels, gaussian_window, inverse_dft
-from .grid_core import make_rng
+from .grid_core import _check_grid, channels, forward_dft, fork_join, from_channels
+from .grid_core import gaussian_window, inverse_dft, make_rng
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,15 @@ def estimate_psd(r: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
     Circular (wrap-around) smoothing matches the periodicity of the DFT
     plane and preserves the total energy exactly.
     """
-    return _smoothed_periodogram(forward_dft(r), kernel)
+    spectrum = forward_dft(r)
+    return _smoothed_periodogram(spectrum, kernel.array, np.empty(spectrum.shape),
+                                 np.empty(spectrum.shape))
 
 
-def _smoothed_periodogram(spectrum: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
-    return ndimage.convolve(np.abs(spectrum) ** 2, kernel.array, mode="wrap")
+def _smoothed_periodogram(spectrum, kernel, scratch, out):
+    """|spectrum|^2 into `scratch`, smoothed into `out`."""
+    np.square(np.abs(spectrum, out=scratch), out=scratch)
+    return ndimage.convolve(scratch, kernel, output=out, mode="wrap")
 
 
 def spectral_deficit(psd: np.ndarray, sigma: float, eps: float = 0.0) -> np.ndarray:
@@ -102,8 +110,12 @@ def spectral_deficit(psd: np.ndarray, sigma: float, eps: float = 0.0) -> np.ndar
     if sigma < 0 or eps < 0:
         raise ValueError("sigma and eps must be nonnegative")
     psd = np.asarray(psd, dtype=np.float64)
+    return _deficit(psd, sigma, eps, np.empty(psd.shape))
+
+
+def _deficit(psd, sigma, eps, out):
     target = sigma**2 * psd.shape[0] * psd.shape[1]
-    return np.maximum(eps, target - psd)
+    return np.maximum(eps, np.subtract(target, psd, out=out), out=out)
 
 
 def synthesize_complementary_noise(deficit: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -113,54 +125,56 @@ def synthesize_complementary_noise(deficit: np.ndarray, rng: np.random.Generator
     a fresh white Gaussian draw, which keeps the spectrum Hermitian so the
     synthesized field is real (the vanishing imaginary part is asserted).
     """
-    return _real_field(_complementary_spectrum(deficit, rng))
-
-
-def _complementary_spectrum(deficit: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """sqrt(deficit) times the unit phase of a fresh white draw's spectrum."""
     deficit = np.asarray(deficit, dtype=np.float64)
     if np.any(deficit < 0):
         raise ValueError("deficit must be nonnegative")
     spectrum = forward_dft(rng.standard_normal(deficit.shape))
-    mag = np.abs(spectrum)
+    scratch = np.empty(deficit.shape)
+    _unit_phase(spectrum, scratch)
+    spectrum *= np.sqrt(deficit)
+    return _real_field(spectrum, scratch)
+
+
+def _unit_phase(spectrum, scratch):
+    """Normalize a spectrum to unit modulus in place; a bin of modulus below
+    1e-300 gets phase 1."""
+    mag = np.abs(spectrum, out=scratch)
+    if mag.min() >= 1e-300:
+        spectrum /= mag
+        return
     degenerate = mag < 1e-300
     mag[degenerate] = 1.0
-    spectrum /= mag  # the phase, normalized in place
+    spectrum /= mag
     spectrum[degenerate] = 1.0
-    spectrum *= np.sqrt(deficit)
-    return spectrum
 
 
-def _real_field(spectrum: np.ndarray) -> np.ndarray:
+def _real_field(spectrum, scratch):
+    """The inverse transform's real part, after checking that its imaginary
+    part vanishes. numpy's `ifft2` ignores `out=`, so the field is new."""
     field_c = inverse_dft(spectrum)
-    worst_imag = float(np.max(np.abs(field_c.imag)))
+    worst_imag = float(np.abs(field_c.imag, out=scratch).max())
     if worst_imag > 1e-9:
         raise AssertionError(f"synthesized noise is not real: max |imag| = {worst_imag}")
     return field_c.real
 
 
-def _coefficient_of_variation(m: np.ndarray) -> float:
+def _coefficient_of_variation(m, scratch=None):
+    """np.std(m) / np.mean(m), bit for bit, with `scratch` for the squared deviations."""
     mean = float(np.mean(m))
     if mean == 0.0:
         return 0.0
-    return float(np.std(m) / mean)
+    deviation = np.square(np.subtract(m, mean, out=scratch), out=scratch)
+    return float(np.sqrt(deviation.sum() / m.size) / mean)
 
 
 def _peak_to_floor(psd: np.ndarray) -> float:
     return float(np.max(psd) / max(float(np.min(psd)), 1e-300))
 
 
-def _homogenize_channel(r: np.ndarray, sigma: float, cfg: ShConfig, rng: np.random.Generator):
-    # r is transformed once: the effective PSD of r + noise is taken from
-    # F(r) + S, where S is the spectrum the noise was synthesized from
-    spectrum = forward_dft(r)
-    psd = _smoothed_periodogram(spectrum, cfg.kernel)
-    deficit = spectral_deficit(psd, sigma, cfg.eps)
-    synthesized = _complementary_spectrum(deficit, rng)
-    noise = _real_field(synthesized)
-    spectrum += synthesized
-    effective = _smoothed_periodogram(spectrum, cfg.kernel)
-    return noise, psd, deficit, effective
+def _real_alias(buffer):
+    """A contiguous real grid of `buffer`'s shape over the first half of its
+    complex memory, for reusing a spectrum buffer once it is spent."""
+    return buffer.view(np.float64).reshape(-1)[: buffer.size].reshape(buffer.shape)
 
 
 def homogenize(
@@ -178,18 +192,54 @@ def homogenize(
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     r = estimate_residual(v, z_prev)
-    noises, psds, deficits, effectives = zip(
-        *(_homogenize_channel(c, sigma, cfg, rng) for c in channels(r)))
-    # joined before the report's temporaries, or glibc trims and re-faults the heap (mri320 +5%)
-    noise = from_channels(noises)
-    psd = sum(psds) / len(psds)
+    _check_grid(r)
+    r_parts = channels(r)
+    c = len(r_parts)
+    shape = r.shape
+    out = np.empty(shape, np.result_type(v, np.complex128 if c == 2 else np.float64))
+    v_parts = channels(np.asarray(v, dtype=out.dtype))
+    out_parts = channels(out)
+    kernel = cfg.kernel.array
+    # every buffer is allocated here, since buffers allocated on a worker
+    # stay cached in its glibc heap arena (see priors._tv_prox_channels).
+    # Two blocks rather than four arrays: with four, an mri320 solve took
+    # about 265k minor page faults instead of 50-60k, and ran 10% slower
+    spectra, synthesized = np.empty((2, c) + shape, np.complex128)
+    scratch, psds = np.empty((2, c) + shape)
+    for white in scratch:  # real channel first: the results depend on this stream order
+        rng.standard_normal(out=white)
+    stats = [None] * c
+
+    def run(k: int) -> None:
+        # r is transformed once: the effective PSD of r + noise is taken
+        # from F(r) + S, where S is the spectrum the noise is synthesized from
+        spectrum, synth, work, psd = spectra[k], synthesized[k], scratch[k], psds[k]
+        # each channel is copied into its complex buffer and transformed in
+        # place: given a real input, `fft2(out=)` allocates the complex copy
+        np.copyto(synth, work)
+        np.fft.fft2(synth, out=synth)
+        np.copyto(spectrum, r_parts[k])
+        np.fft.fft2(spectrum, out=spectrum)
+        _smoothed_periodogram(spectrum, kernel, work, psd)
+        flat_before = _coefficient_of_variation(psd, work)
+        _unit_phase(synth, work)
+        deficit = _deficit(psd, sigma, cfg.eps, work)
+        injected = deficit.sum()
+        synth *= np.sqrt(deficit, out=deficit)
+        np.add(v_parts[k], _real_field(synth, work), out=out_parts[k])
+        spectrum += synth
+        effective = _smoothed_periodogram(spectrum, kernel, work, _real_alias(synth))
+        stats[k] = injected, flat_before, _coefficient_of_variation(effective, work)
+
+    fork_join(run, range(c))
+    injected, flat_before, flat_after = zip(*stats)
     report = SpectralReport(
-        injected_energy=float(sum(d.sum() for d in deficits) / r.size),
-        flatness_before=sum(map(_coefficient_of_variation, psds)) / len(psds),
-        flatness_after=sum(map(_coefficient_of_variation, effectives)) / len(psds),
-        peak_to_floor=_peak_to_floor(psd),
+        injected_energy=float(sum(injected) / r.size),
+        flatness_before=sum(flat_before) / c,
+        flatness_after=sum(flat_after) / c,
+        peak_to_floor=_peak_to_floor(psds.mean(axis=0)),
     )
-    return v + noise, report
+    return out, report
 
 
 def naive_inject(v: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

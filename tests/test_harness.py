@@ -338,7 +338,11 @@ class TestMeanPsnr:
         assert list(mean_psnr(rows)) == others
         monkeypatch.setattr(experiment, "ablate", lambda cfg: rows)
         assert cli.main(["ablate", "--out", str(tmp_path)]) == 1
-        assert "PASS" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" not in out
+        [verdict] = [line for line in out.splitlines() if line.startswith("ordering")]
+        assert "FAIL" in verdict and full in verdict
+        assert not any(label in verdict for label in others)
 
 
 # Builds a Radon operator and applies it, so the parent holds a live matvec

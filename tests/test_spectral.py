@@ -1,7 +1,12 @@
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from dcpnp import grid_core
 from dcpnp.grid_core import forward_dft, inverse_dft, make_rng
 from dcpnp.spectral import (
     ShConfig,
@@ -292,11 +297,29 @@ def _two_transform_homogenize(v, z_prev, sigma, cfg, rng):
     )
 
 
+def _no_pool():
+    raise AssertionError("this homogenization must run on the calling thread alone")
+
+
+def _complex_pair(seed, shape):
+    rng = make_rng(seed)
+    v, z = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+    return v, z
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 class TestOneTransformOfTheResidual:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 12), (17, 17), (64, 64), (320, 320)])
     @pytest.mark.parametrize("complex_grid", [False, True])
     @pytest.mark.parametrize("eps", [0.0, 0.5])
-    def test_matches_two_transform_pipeline(self, shape, complex_grid, eps):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_two_transform_pipeline(self, monkeypatch, shape, complex_grid, eps, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if cpus == 1:
+            monkeypatch.setattr(grid_core, "worker_pool", _no_pool)
         rng = make_rng(sum(shape))
         v, z = rng.standard_normal((2,) + shape)
         if complex_grid:
@@ -310,6 +333,43 @@ class TestOneTransformOfTheResidual:
             got = np.float64(getattr(report, name)).view(np.uint64)
             assert got == np.float64(ref[name]).view(np.uint64), name
         assert abs(report.flatness_after - ref["flatness_after"]) <= 1e-12 * ref["flatness_after"]
+
+    def test_real_grid_never_uses_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(grid_core, "worker_pool", _no_pool)
+        rng = make_rng(30)
+        v, z = rng.standard_normal((2, 24, 24))
+        out, report = homogenize(v, z, 0.8, ShConfig(), make_rng(31))
+        ref_out, ref = _two_transform_homogenize(v, z, 0.8, ShConfig(), make_rng(31))
+        assert _same_bits(out, ref_out)
+        assert report.injected_energy == ref["injected_energy"]
+
+    def test_concurrent_complex_callers_get_their_own_results(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = ShConfig()
+        inputs = [_complex_pair(seed, (20, 20)) for seed in range(8)]
+        expected = []
+        for seed, (v, z) in enumerate(inputs):
+            rng = make_rng(100 + seed)
+            expected.append([_two_transform_homogenize(v, z, 0.8, cfg, rng) for _ in range(5)])
+
+        def homogenize_repeatedly(seed):
+            v, z = inputs[seed]
+            rng = make_rng(100 + seed)
+            return [homogenize(v, z, 0.8, cfg, rng) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(inputs)) as callers:
+                results = list(callers.map(homogenize_repeatedly, range(len(inputs)), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected):
+            for (out, report), (ref_out, ref) in zip(got, want):
+                assert _same_bits(out, ref_out)
+                assert report.injected_energy == ref["injected_energy"]
+                assert report.peak_to_floor == ref["peak_to_floor"]
 
 
 class TestNaiveInject:
