@@ -58,16 +58,6 @@ from .solver import (
     initialize,
     run,
 )
-from .spectral import (
-    ShConfig,
-    SmoothingKernel,
-    SpectralReport,
-    estimate_psd,
-    estimate_residual,
-    homogenize,
-    naive_inject,
-    spectral_deficit,
-    synthesize_complementary_noise,
-)
+from .spectral import ShConfig, SpectralReport, estimate_psd, homogenize, naive_inject
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .phantoms import PhantomSpec, make_phantom, mri_phantom
 from .priors import Denoiser, GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
 from .reductions import norm
 from .solver import SolverStepError, VariantSpec, run
-from .spectral import ShConfig, SmoothingKernel
+from .spectral import ShConfig
 
 TASKS = ("svct", "lact", "mri")
 
@@ -84,7 +84,6 @@ class ExperimentConfig:
     lam0: float = 1e-05
     # spectral homogenization
     sh_window: int = 7
-    sh_eps: float = 0.0
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -107,7 +106,7 @@ class ExperimentConfig:
         return CgConfig(self.cg_iters, self.cg_tol, self.lam0)
 
     def sh_config(self) -> ShConfig:
-        return ShConfig(SmoothingKernel(self.sh_window), self.sh_eps)
+        return ShConfig(self.sh_window)
 
     def make_denoiser(self) -> Denoiser:
         """The denoiser `denoiser` names: tv-prox, gaussian-prior or identity."""

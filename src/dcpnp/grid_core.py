@@ -152,16 +152,22 @@ def load_grid(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
-            raise ValueError(f"bad magic bytes {magic!r}")
-        h, w = struct.unpack("<II", fh.read(8))
+            raise ValueError(f"{path}: bad magic bytes {magic!r}")
+        header = fh.read(8)
         payload = fh.read()
+    if len(header) < 8:
+        raise ValueError(f"{path}: file ends inside its 12-byte header")
+    h, w = struct.unpack("<II", header)
+    if h < 1 or w < 1:
+        raise ValueError(f"{path}: header declares an empty {h}x{w} grid")
     n = h * w
     if len(payload) == 8 * n:
         return np.frombuffer(payload, dtype="<f8").reshape(h, w).astype(np.float64)
     if len(payload) == 16 * n:
         inter = np.frombuffer(payload, dtype="<f8").reshape(h, w, 2)
         return (inter[..., 0] + 1j * inter[..., 1]).astype(np.complex128)
-    raise ValueError(f"payload length {len(payload)} does not match {h}x{w} real or complex grid")
+    raise ValueError(f"{path}: payload length {len(payload)} does not match {h}x{w} real or "
+                     "complex grid")
 
 
 def save_pgm(path, g: np.ndarray, window: tuple[float, float] | None = None) -> None:

@@ -31,10 +31,6 @@ _HEAD_ELLIPSES = (
 class PhantomSpec:
     kind: str = "shepp-logan"  # "shepp-logan" | "random-ellipses" | "flat-disk"
     side: int = 128
-    n_ellipses: int = 8
-    disk_radius: float = 0.6
-    disk_inside: float = 1.0
-    disk_outside: float = -1.0
 
     def __post_init__(self):
         if self.kind not in ("shepp-logan", "random-ellipses", "flat-disk"):
@@ -94,10 +90,10 @@ def make_phantom(spec: PhantomSpec, rng: np.random.Generator | None = None) -> n
     if spec.kind == "shepp-logan":
         return shepp_logan(spec.side)
     if spec.kind == "flat-disk":
-        return flat_disk(spec.side, spec.disk_radius, spec.disk_inside, spec.disk_outside)
+        return flat_disk(spec.side)
     if rng is None:
         raise ValueError("random-ellipses needs an rng")
-    return random_ellipses(spec.side, rng, spec.n_ellipses)
+    return random_ellipses(spec.side, rng)
 
 
 def mri_phantom(side: int = 320) -> np.ndarray:

@@ -71,6 +71,8 @@ class VariantSpec:
         if not all("=" in item for item in items):
             raise ValueError(f"variant label {label!r} is not of the form key=value,...")
         parts = dict(item.split("=", 1) for item in items)
+        if len(parts) != len(items):
+            raise ValueError(f"variant label {label!r} repeats a key")
         unknown = set(parts) - {"dual", "inject"}
         if unknown:
             raise ValueError(f"unknown variant keys {sorted(unknown)}")

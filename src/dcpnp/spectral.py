@@ -1,9 +1,11 @@
 """Spectral homogenization: turn structured solver residuals into pseudo-white noise.
 
-Pipeline per call: estimate the residual against the previous prior iterate,
-smooth its periodogram, measure the per-bin deficit against the white target
-level sigma^2 * H * W, synthesize complementary noise carrying exactly that
-deficit with a transplanted random phase, and add it to the input. Complex
+`homogenize` is the one pipeline. Per call it takes the residual against
+the previous prior iterate, smooths its periodogram, measures the per-bin
+deficit max(0, sigma^2 * H * W - PSD) against the white target, synthesizes
+noise carrying exactly that deficit with the phase of a fresh white draw, and
+adds it to the input. Its one setting is the smoothing window (`ShConfig`);
+`estimate_psd` exposes the smoothed periodogram for diagnostics. Complex
 grids run the pipeline on their real and imaginary channel
 (`grid_core.channels`) at the same time, through `grid_core.fork_join`. The
 calling thread draws both white fields first, real channel first, and
@@ -18,7 +20,7 @@ power s^2 * H * W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -28,11 +30,12 @@ from .grid_core import gaussian_window, inverse_dft, make_rng
 
 
 @dataclass(frozen=True)
-class SmoothingKernel:
-    """Normalized 2D Gaussian window for periodogram smoothing.
+class ShConfig:
+    """Homogenization settings: the odd periodogram-smoothing window w.
 
-    Odd window size w, standard deviation w/4, truncated to the window and
-    normalized to sum exactly 1 so circular smoothing preserves total energy.
+    The smoothing kernel is a 2D Gaussian of standard deviation w/4,
+    truncated to the w x w window and normalized to sum exactly 1, so
+    circular smoothing preserves total energy.
     """
 
     window: int = 7
@@ -42,24 +45,8 @@ class SmoothingKernel:
             raise ValueError("window must be an odd positive integer")
 
     @property
-    def array(self) -> np.ndarray:
+    def kernel(self) -> np.ndarray:
         return gaussian_window(self.window // 2, self.window / 4.0)
-
-
-@dataclass(frozen=True)
-class ShConfig:
-    """Homogenization knobs: smoothing kernel and the deficit floor eps.
-
-    eps = 0 reproduces the hard max(0, .) deficit clipping; a positive eps
-    keeps a small noise floor in every bin.
-    """
-
-    kernel: SmoothingKernel = field(default_factory=SmoothingKernel)
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
 
 
 @dataclass
@@ -79,23 +66,14 @@ class SpectralReport:
     peak_to_floor: float
 
 
-def estimate_residual(v: np.ndarray, z_prev: np.ndarray) -> np.ndarray:
-    """Bootstrap residual: the input minus the previous prior estimate."""
-    v = np.asarray(v)
-    z_prev = np.asarray(z_prev)
-    if v.shape != z_prev.shape:
-        raise ValueError(f"shape mismatch {v.shape} vs {z_prev.shape}")
-    return v - z_prev
-
-
-def estimate_psd(r: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
-    """Smoothed periodogram: |F(r)|^2 circularly convolved with the kernel.
+def estimate_psd(r: np.ndarray, cfg: ShConfig) -> np.ndarray:
+    """Smoothed periodogram: |F(r)|^2 circularly convolved with `cfg.kernel`.
 
     Circular (wrap-around) smoothing matches the periodicity of the DFT
     plane and preserves the total energy exactly.
     """
     spectrum = forward_dft(r)
-    return _smoothed_periodogram(spectrum, kernel.array, np.empty(spectrum.shape),
+    return _smoothed_periodogram(spectrum, cfg.kernel, np.empty(spectrum.shape),
                                  np.empty(spectrum.shape))
 
 
@@ -103,36 +81,6 @@ def _smoothed_periodogram(spectrum, kernel, scratch, out):
     """|spectrum|^2 into `scratch`, smoothed into `out`."""
     np.square(np.abs(spectrum, out=scratch), out=scratch)
     return ndimage.convolve(scratch, kernel, output=out, mode="wrap")
-
-
-def spectral_deficit(psd: np.ndarray, sigma: float, eps: float = 0.0) -> np.ndarray:
-    """Per-bin gap max(eps, sigma^2 * H * W - psd) toward the white target."""
-    if sigma < 0 or eps < 0:
-        raise ValueError("sigma and eps must be nonnegative")
-    psd = np.asarray(psd, dtype=np.float64)
-    return _deficit(psd, sigma, eps, np.empty(psd.shape))
-
-
-def _deficit(psd, sigma, eps, out):
-    target = sigma**2 * psd.shape[0] * psd.shape[1]
-    return np.maximum(eps, np.subtract(target, psd, out=out), out=out)
-
-
-def synthesize_complementary_noise(deficit: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Real noise field whose per-bin spectral power equals the deficit.
-
-    Amplitude sqrt(deficit) is deterministic; the phase is transplanted from
-    a fresh white Gaussian draw, which keeps the spectrum Hermitian so the
-    synthesized field is real (the vanishing imaginary part is asserted).
-    """
-    deficit = np.asarray(deficit, dtype=np.float64)
-    if np.any(deficit < 0):
-        raise ValueError("deficit must be nonnegative")
-    spectrum = forward_dft(rng.standard_normal(deficit.shape))
-    scratch = np.empty(deficit.shape)
-    _unit_phase(spectrum, scratch)
-    spectrum *= np.sqrt(deficit)
-    return _real_field(spectrum, scratch)
 
 
 def _unit_phase(spectrum, scratch):
@@ -191,7 +139,11 @@ def homogenize(
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    r = estimate_residual(v, z_prev)
+    v = np.asarray(v)
+    z_prev = np.asarray(z_prev)
+    if v.shape != z_prev.shape:
+        raise ValueError(f"shape mismatch {v.shape} vs {z_prev.shape}")
+    r = v - z_prev
     _check_grid(r)
     r_parts = channels(r)
     c = len(r_parts)
@@ -199,7 +151,8 @@ def homogenize(
     out = np.empty(shape, np.result_type(v, np.complex128 if c == 2 else np.float64))
     v_parts = channels(np.asarray(v, dtype=out.dtype))
     out_parts = channels(out)
-    kernel = cfg.kernel.array
+    kernel = cfg.kernel
+    target = sigma**2 * shape[0] * shape[1]
     # every buffer is allocated here, since buffers allocated on a worker
     # stay cached in its glibc heap arena (see priors._tv_prox_channels).
     # Two blocks rather than four arrays: with four, an mri320 solve took
@@ -223,7 +176,7 @@ def homogenize(
         _smoothed_periodogram(spectrum, kernel, work, psd)
         flat_before = _coefficient_of_variation(psd, work)
         _unit_phase(synth, work)
-        deficit = _deficit(psd, sigma, cfg.eps, work)
+        deficit = np.maximum(0.0, np.subtract(target, psd, out=work), out=work)
         injected = deficit.sum()
         synth *= np.sqrt(deficit, out=deficit)
         np.add(v_parts[k], _real_field(synth, work), out=out_parts[k])
@@ -261,7 +214,7 @@ def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:
     homogenization whitens what naive noise leaves coloured).
     """
     sigma = 1.0
-    cfg = ShConfig(SmoothingKernel(7), 0.0)
+    cfg = ShConfig(7)
     target = sigma**2 * side * side
 
     acc = np.zeros((side, side))
@@ -269,7 +222,7 @@ def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:
         rng = make_rng(seed)
         residual = 0.5 * sigma * rng.standard_normal((side, side))
         homogenized, _ = homogenize(residual, np.zeros_like(residual), sigma, cfg, rng)
-        acc += estimate_psd(homogenized, cfg.kernel)
+        acc += estimate_psd(homogenized, cfg)
     mean_psd = acc / n_seeds
 
     xs = np.arange(side)
@@ -282,7 +235,6 @@ def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:
         rng = make_rng(10_000 + seed)
         _, report = homogenize(streaks, np.zeros_like(streaks), sigma, cfg, rng)
         cv_sh.append(report.flatness_after)
-        cv_naive.append(_coefficient_of_variation(estimate_psd(naive_inject(streaks, sigma, rng),
-                                                               cfg.kernel)))
+        cv_naive.append(_coefficient_of_variation(estimate_psd(naive_inject(streaks, sigma, rng), cfg)))
     return (float(mean_psd.min() / target), float(mean_psd.max() / target),
             float(np.mean(cv_sh) / np.mean(cv_naive)))

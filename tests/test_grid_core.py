@@ -1,5 +1,7 @@
 import ast
 import os
+import re
+import struct
 import subprocess
 import sys
 import threading
@@ -177,7 +179,20 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dcpg"
         path.write_bytes(b"NOPE" + b"\0" * 24)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_grid(path)
+
+    @pytest.mark.parametrize("content", [
+        b"DCPG",
+        b"DCPG\x02\0\0",
+        b"DCPG" + struct.pack("<II", 0, 4),
+        b"DCPG" + struct.pack("<II", 4, 0),
+        b"DCPG" + struct.pack("<II", 2, 2) + b"\0" * 8,
+    ], ids=["no-header", "short-header", "zero-rows", "zero-columns", "short-payload"])
+    def test_malformed_file_rejected_naming_it(self, tmp_path, content):
+        path = tmp_path / "bad.dcpg"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_grid(path)
 
     def test_pgm_export(self, tmp_path):

@@ -50,7 +50,8 @@ class TestVariantSpec:
                 assert VariantSpec.from_label(v.label) == v
 
     def test_bad_labels_rejected(self):
-        for label in ("dual=maybe,inject=sh", "dual=on,inject=blur", "dual=on,foo=1"):
+        for label in ("dual=maybe,inject=sh", "dual=on,inject=blur", "dual=on,foo=1",
+                      "dual=on,dual=off,inject=none"):
             with pytest.raises(ValueError):
                 VariantSpec.from_label(label)
         for label in ("dual", "", "dual=on,"):

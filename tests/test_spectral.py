@@ -8,16 +8,7 @@ from scipy import ndimage
 
 from dcpnp import grid_core
 from dcpnp.grid_core import forward_dft, inverse_dft, make_rng
-from dcpnp.spectral import (
-    ShConfig,
-    SmoothingKernel,
-    estimate_psd,
-    estimate_residual,
-    homogenize,
-    naive_inject,
-    spectral_deficit,
-    synthesize_complementary_noise,
-)
+from dcpnp.spectral import ShConfig, estimate_psd, homogenize, naive_inject
 
 
 def streak_field(side, amplitudes=((3, 11), (17, 5), (9, 23)), scale=0.12):
@@ -29,61 +20,41 @@ def streak_field(side, amplitudes=((3, 11), (17, 5), (9, 23)), scale=0.12):
     return scale * field
 
 
-class TestSmoothingKernel:
+class TestShConfig:
     def test_default_window_7(self):
-        k = SmoothingKernel()
-        assert k.window == 7
-        assert k.array.shape == (7, 7)
+        cfg = ShConfig()
+        assert cfg.window == 7
+        assert cfg.kernel.shape == (7, 7)
 
     def test_normalized_and_nonnegative(self):
         for w in (1, 3, 7, 11):
-            arr = SmoothingKernel(w).array
+            arr = ShConfig(w).kernel
             assert np.all(arr >= 0)
             assert abs(arr.sum() - 1.0) < 1e-12
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
-            SmoothingKernel(6)
+            ShConfig(6)
 
     def test_peak_at_center(self):
-        arr = SmoothingKernel(7).array
+        arr = ShConfig(7).kernel
         assert arr[3, 3] == arr.max()
-
-
-class TestEstimateResidual:
-    def test_equal_inputs_zero(self):
-        v = make_rng(0).standard_normal((8, 8))
-        assert np.all(estimate_residual(v, v) == 0.0)
-
-    def test_zero_reference_identity(self):
-        v = make_rng(1).standard_normal((8, 8))
-        assert np.array_equal(estimate_residual(v, np.zeros_like(v)), v)
-
-    def test_constant_shift_cancels(self):
-        rng = make_rng(2)
-        v = rng.standard_normal((8, 8))
-        z = rng.standard_normal((8, 8))
-        assert np.allclose(estimate_residual(v + 3.5, z + 3.5), estimate_residual(v, z))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_residual(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
 class TestEstimatePsd:
     def test_zero_residual_zero_psd(self):
-        psd = estimate_psd(np.zeros((16, 16)), SmoothingKernel())
+        psd = estimate_psd(np.zeros((16, 16)), ShConfig())
         assert np.all(psd == 0.0)
 
     def test_white_noise_level(self):
         # E|F(n)|^2 = sigma^2 * H * W = 4096 on 64x64; Monte-Carlo mean of the
         # smoothed periodogram per bin within +-10%
         side, n_seeds = 64, 100
-        kernel = SmoothingKernel()
+        cfg = ShConfig()
         acc = np.zeros((side, side))
         for seed in range(n_seeds):
             r = make_rng(seed).standard_normal((side, side))
-            acc += estimate_psd(r, kernel)
+            acc += estimate_psd(r, cfg)
         mean = acc / n_seeds
         target = side * side
         assert mean.min() > 0.9 * target
@@ -93,8 +64,8 @@ class TestEstimatePsd:
         side = 64
         xs = np.arange(side)
         wave = np.cos(2 * np.pi * (5 * xs[None, :] + 9 * xs[:, None]) / side)
-        kernel = SmoothingKernel(7)
-        psd = estimate_psd(wave, kernel)
+        cfg = ShConfig(7)
+        psd = estimate_psd(wave, cfg)
         # mass lives in w x w neighborhoods of the two conjugate bins
         mask = np.zeros((side, side), bool)
         for fy, fx in ((9, 5), (side - 9, side - 5)):
@@ -106,98 +77,12 @@ class TestEstimatePsd:
     def test_energy_preserved(self):
         r = make_rng(5).standard_normal((32, 32))
         raw = np.abs(forward_dft(r)) ** 2
-        smoothed = estimate_psd(r, SmoothingKernel(7))
+        smoothed = estimate_psd(r, ShConfig(7))
         assert abs(smoothed.sum() - raw.sum()) / raw.sum() < 1e-10
 
     def test_nonnegative(self):
         r = make_rng(6).standard_normal((20, 20))
-        assert np.min(estimate_psd(r, SmoothingKernel())) >= 0.0
-
-
-class TestSpectralDeficit:
-    def test_zero_psd_full_target(self):
-        deficit = spectral_deficit(np.zeros((8, 8)), sigma=2.0, eps=0.0)
-        assert np.all(deficit == 4.0 * 64)
-
-    def test_saturated_psd_floors_at_eps(self):
-        psd = np.full((8, 8), 1e6)
-        for eps in (0.0, 0.5):
-            deficit = spectral_deficit(psd, sigma=1.0, eps=eps)
-            assert np.all(deficit == eps)
-
-    def test_4x4_arithmetic_example(self):
-        psd = np.zeros((4, 4))
-        psd[1, 2] = 20.0
-        deficit = spectral_deficit(psd, sigma=1.0, eps=0.0)
-        assert deficit[1, 2] == 0.0  # 16 - 20 clips to zero
-        others = deficit[psd == 0.0]
-        assert np.all(others == 16.0)
-
-    def test_never_exceeds_target_plus_eps(self):
-        rng = make_rng(7)
-        psd = np.abs(rng.standard_normal((16, 16))) * 300
-        sigma, eps = 1.3, 0.25
-        deficit = spectral_deficit(psd, sigma, eps)
-        assert np.all(deficit <= sigma**2 * 256 + eps)
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_deficit(np.zeros((4, 4)), -1.0)
-        with pytest.raises(ValueError):
-            spectral_deficit(np.zeros((4, 4)), 1.0, -0.1)
-
-
-class TestSynthesizeNoise:
-    def test_zero_deficit_zero_field(self):
-        out = synthesize_complementary_noise(np.zeros((8, 8)), make_rng(0))
-        assert np.all(out == 0.0)
-
-    def test_flat_deficit_gives_white_noise(self):
-        # flat per-bin power D -> per-pixel variance D / (H W); average over seeds
-        side, level = 32, 50.0
-        deficit = np.full((side, side), level)
-        variances = [
-            float(np.var(synthesize_complementary_noise(deficit, make_rng(seed))))
-            for seed in range(200)
-        ]
-        mean_var = np.mean(variances)
-        expected = level / (side * side)
-        assert abs(mean_var - expected) / expected < 0.1
-
-    def test_sample_mean_near_zero(self):
-        side = 32
-        deficit = np.full((side, side), 10.0)
-        means = [
-            float(np.mean(synthesize_complementary_noise(deficit, make_rng(seed))))
-            for seed in range(100)
-        ]
-        std_per_field = np.sqrt(10.0 / (side * side))  # dc bin amplitude / HW
-        assert abs(np.mean(means)) < 3 * std_per_field / np.sqrt(100) + 1e-12
-
-    def test_realized_energy_matches_parseval_exactly(self):
-        # deficits arising in practice come from PSDs of real grids and are
-        # Hermitian-symmetric; realized energy then equals sum(deficit)/HW
-        # exactly, not just in expectation (the phase is unit-modulus)
-        r = make_rng(9).standard_normal((16, 16))
-        psd = estimate_psd(r, SmoothingKernel())
-        deficit = spectral_deficit(psd, sigma=np.sqrt(psd.mean() / 128), eps=0.0)
-        assert deficit.sum() > 0
-        field = synthesize_complementary_noise(deficit, make_rng(10))
-        lhs = float(np.sum(field**2))
-        rhs = float(deficit.sum() / 256)
-        assert abs(lhs - rhs) / rhs < 1e-10
-
-    def test_deterministic_given_seed(self):
-        deficit = np.full((16, 16), 3.0)
-        a = synthesize_complementary_noise(deficit, make_rng(77))
-        b = synthesize_complementary_noise(deficit, make_rng(77))
-        assert np.array_equal(a, b)
-
-    def test_negative_deficit_rejected(self):
-        deficit = np.zeros((4, 4))
-        deficit[0, 0] = -1.0
-        with pytest.raises(ValueError):
-            synthesize_complementary_noise(deficit, make_rng(0))
+        assert np.min(estimate_psd(r, ShConfig())) >= 0.0
 
 
 class TestHomogenize:
@@ -206,6 +91,25 @@ class TestHomogenize:
         out, report = homogenize(v, v.copy(), 0.0, ShConfig(), make_rng(0))
         assert np.array_equal(out, v)
         assert report.injected_energy == 0.0
+
+    def test_zero_residual_injects_full_target(self):
+        # every bin's deficit is the whole target sigma^2 * H * W = 256
+        v = make_rng(22).standard_normal((8, 8))
+        _, report = homogenize(v, v.copy(), 2.0, ShConfig(), make_rng(23))
+        assert report.injected_energy == 256.0
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            homogenize(np.zeros((4, 4)), np.zeros((4, 5)), 1.0, ShConfig(), make_rng(0))
+        with pytest.raises(ValueError, match="sigma"):
+            homogenize(np.zeros((4, 4)), np.zeros((4, 4)), -1.0, ShConfig(), make_rng(0))
+
+    def test_constant_shift_of_both_inputs_cancels(self):
+        rng = make_rng(2)
+        v, z = rng.standard_normal((2, 8, 8))
+        shifted, _ = homogenize(v + 3.5, z + 3.5, 0.6, ShConfig(), make_rng(24))
+        plain, _ = homogenize(v, z, 0.6, ShConfig(), make_rng(24))
+        assert np.allclose(shifted - 3.5, plain)
 
     def test_structured_residual_flattens(self):
         side = 64
@@ -217,12 +121,14 @@ class TestHomogenize:
     def test_saturated_bins_receive_nothing(self):
         side = 32
         strong = streak_field(side, scale=3.0)
+        sigma = 0.05
         cfg = ShConfig()
-        psd = estimate_psd(strong, cfg.kernel)
-        deficit = spectral_deficit(psd, 0.05, 0.0)
-        saturated = psd >= 0.05**2 * side * side
-        assert saturated.any()
-        assert np.all(deficit[saturated] == 0.0)
+        saturated = estimate_psd(strong, cfg) >= sigma**2 * side * side
+        assert saturated.any() and not saturated.all()
+        out, _ = homogenize(strong, np.zeros_like(strong), sigma, cfg, make_rng(19))
+        injected = np.abs(forward_dft(out - strong))
+        assert injected[~saturated].max() > 1.0
+        assert injected[saturated].max() < 1e-12
 
     def test_report_parseval_invariant(self):
         side = 32
@@ -254,26 +160,17 @@ class TestHomogenize:
         b, _ = homogenize(v, z, 0.5, ShConfig(), make_rng(18))
         assert np.array_equal(a, b)
 
-    def test_eps_floor_injects_everywhere(self):
-        side = 16
-        strong = streak_field(side, scale=5.0)
-        out_hard, _ = homogenize(strong, np.zeros_like(strong), 0.01, ShConfig(eps=0.0), make_rng(19))
-        out_soft, _ = homogenize(strong, np.zeros_like(strong), 0.01, ShConfig(eps=1.0), make_rng(19))
-        moved_hard = np.sum((out_hard - strong) ** 2)
-        moved_soft = np.sum((out_soft - strong) ** 2)
-        assert moved_soft > moved_hard
-
 
 def _two_transform_homogenize(v, z_prev, sigma, cfg, rng):
     """The earlier homogenization pipeline, kept as the reference: it took
     the effective PSD from a second transform of r + noise."""
 
     def psd_of(grid):
-        return ndimage.convolve(np.abs(forward_dft(grid)) ** 2, cfg.kernel.array, mode="wrap")
+        return ndimage.convolve(np.abs(forward_dft(grid)) ** 2, cfg.kernel, mode="wrap")
 
     def channel(r):
         psd = psd_of(r)
-        deficit = spectral_deficit(psd, sigma, cfg.eps)
+        deficit = np.maximum(0.0, sigma**2 * psd.shape[0] * psd.shape[1] - psd)
         spectrum = forward_dft(rng.standard_normal(deficit.shape))
         mag = np.abs(spectrum)
         degenerate = mag < 1e-300
@@ -314,9 +211,8 @@ def _same_bits(a, b):
 class TestOneTransformOfTheResidual:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 12), (17, 17), (64, 64), (320, 320)])
     @pytest.mark.parametrize("complex_grid", [False, True])
-    @pytest.mark.parametrize("eps", [0.0, 0.5])
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_matches_two_transform_pipeline(self, monkeypatch, shape, complex_grid, eps, cpus):
+    def test_matches_two_transform_pipeline(self, monkeypatch, shape, complex_grid, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if cpus == 1:
             monkeypatch.setattr(grid_core, "worker_pool", _no_pool)
@@ -325,7 +221,7 @@ class TestOneTransformOfTheResidual:
         if complex_grid:
             v = v + 1j * rng.standard_normal(shape)
             z = z + 1j * rng.standard_normal(shape)
-        cfg = ShConfig(eps=eps)
+        cfg = ShConfig()
         out, report = homogenize(v, z, 0.8, cfg, make_rng(3))
         ref_out, ref = _two_transform_homogenize(v, z, 0.8, cfg, make_rng(3))
         assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
@@ -382,12 +278,12 @@ class TestNaiveInject:
         # white target wherever the residual carries energy
         side, sigma, n_seeds = 32, 0.5, 120
         streaks = streak_field(side, scale=0.3)
-        kernel = SmoothingKernel()
-        base = estimate_psd(streaks, kernel)
+        cfg = ShConfig()
+        base = estimate_psd(streaks, cfg)
         acc = np.zeros((side, side))
         for seed in range(n_seeds):
             noisy = naive_inject(streaks, sigma, make_rng(seed))
-            acc += estimate_psd(noisy, kernel)
+            acc += estimate_psd(noisy, cfg)
         mean = acc / n_seeds
         target = sigma**2 * side * side
         hot = base > 0.5 * target
@@ -397,16 +293,20 @@ class TestNaiveInject:
     def test_matches_homogenize_on_zero_residual_in_expectation(self):
         side, sigma = 32, 1.0
         zeros = np.zeros((side, side))
-        kernel = SmoothingKernel()
+        cfg = ShConfig()
         acc_n = np.zeros((side, side))
         acc_h = np.zeros((side, side))
+        means_h = []
         for seed in range(80):
-            acc_n += estimate_psd(naive_inject(zeros, sigma, make_rng(seed)) - 0.0, kernel)
-            out, _ = homogenize(zeros, zeros, sigma, ShConfig(), make_rng(seed))
-            acc_h += estimate_psd(out, kernel)
+            acc_n += estimate_psd(naive_inject(zeros, sigma, make_rng(seed)) - 0.0, cfg)
+            out, _ = homogenize(zeros, zeros, sigma, cfg, make_rng(seed))
+            acc_h += estimate_psd(out, cfg)
+            means_h.append(float(np.mean(out)))
         target = sigma**2 * side * side
         assert abs(acc_n.mean() / 80 - target) / target < 0.05
         assert abs(acc_h.mean() / 80 - target) / target < 0.05
+        # the DC bin carries +-sqrt(target) / (H W) with a random sign
+        assert abs(np.mean(means_h)) < 3 * np.sqrt(target) / (side * side) / np.sqrt(80)
 
     def test_complex_noise_per_channel(self):
         v = np.zeros((16, 16), dtype=complex)
