@@ -40,6 +40,118 @@ class TestShConfig:
         arr = ShConfig(7).kernel
         assert arr[3, 3] == arr.max()
 
+    def test_window_1_is_raw_periodogram(self):
+        r = make_rng(4).standard_normal((12, 10))
+        assert np.array_equal(ShConfig(1).kernel, np.ones((1, 1)))
+        assert np.allclose(estimate_psd(r, ShConfig(1)), np.abs(forward_dft(r)) ** 2,
+                           rtol=1e-14, atol=0.0)
+
+
+class TestEstimateResidual:
+    # the residual v - z_prev is read back through the report's statistics of its PSD
+    def test_equal_inputs_zero(self):
+        v = make_rng(0).standard_normal((8, 8))
+        _, report = homogenize(v, v, 1.0, ShConfig(), make_rng(1))
+        assert report.flatness_before == 0.0
+        assert report.peak_to_floor == 0.0
+
+    def test_zero_reference_identity(self):
+        v = make_rng(1).standard_normal((8, 8))
+        cfg = ShConfig()
+        _, report = homogenize(v, np.zeros_like(v), 0.5, cfg, make_rng(2))
+        psd = estimate_psd(v, cfg)
+        assert report.peak_to_floor == pytest.approx(psd.max() / psd.min(), rel=1e-12)
+        assert report.flatness_before == pytest.approx(np.std(psd) / np.mean(psd), rel=1e-12)
+
+    def test_constant_shift_cancels(self):
+        rng = make_rng(2)
+        v, z = rng.standard_normal((2, 8, 8))
+        shifted, _ = homogenize(v + 3.5, z + 3.5, 0.6, ShConfig(), make_rng(24))
+        plain, _ = homogenize(v, z, 0.6, ShConfig(), make_rng(24))
+        assert np.allclose(shifted - 3.5, plain)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            homogenize(np.zeros((4, 4)), np.zeros((4, 5)), 1.0, ShConfig(), make_rng(0))
+
+
+def _injected_power(r, sigma, cfg, seed):
+    """Homogenize the residual r from v = 0, z_prev = -r, so the output is
+    exactly the synthesized noise; return its per-bin power, which is the
+    deficit, and the report."""
+    noise, report = homogenize(np.zeros_like(r), -r, sigma, cfg, make_rng(seed))
+    return np.abs(forward_dft(noise)) ** 2, report
+
+
+class TestSpectralDeficit:
+    def test_zero_psd_full_target(self):
+        # every bin's deficit is the whole target sigma^2 * H * W = 256
+        power, report = _injected_power(np.zeros((8, 8)), 2.0, ShConfig(), 23)
+        assert report.injected_energy == 256.0
+        assert np.allclose(power, 256.0, rtol=1e-12, atol=0.0)
+
+    def test_saturated_psd_floors_at_zero(self):
+        # an impulse of height 10 has power 100 in every bin, above the target 64
+        v = np.zeros((8, 8))
+        v[0, 0] = 10.0
+        out, report = homogenize(v, np.zeros_like(v), 1.0, ShConfig(), make_rng(5))
+        assert report.injected_energy == 0.0
+        assert np.array_equal(out, v)
+
+    def test_4x4_arithmetic_example(self):
+        # window 1 leaves the periodogram raw; a plane wave puts power 20 in
+        # bin (1, 2) and its conjugate (3, 2); the target is 16
+        ys, xs = np.mgrid[0:4, 0:4]
+        r = np.sqrt(20.0) / 8.0 * np.cos(2 * np.pi * (2 * xs + ys) / 4)
+        wave_power = np.abs(forward_dft(r)) ** 2
+        assert wave_power[1, 2] == pytest.approx(20.0) and wave_power[3, 2] == pytest.approx(20.0)
+        power, report = _injected_power(r, 1.0, ShConfig(1), 6)
+        expected = np.full((4, 4), 16.0)
+        expected[1, 2] = expected[3, 2] = 0.0  # 16 - 20 clips to zero
+        assert np.allclose(power, expected, rtol=1e-12, atol=1e-12)
+        assert report.injected_energy == pytest.approx(14.0, rel=1e-12)
+
+    def test_never_exceeds_target(self):
+        rng = make_rng(7)
+        sigma = 1.3
+        r = sigma * rng.standard_normal((16, 16))
+        power, _ = _injected_power(r, sigma, ShConfig(), 8)
+        target = sigma**2 * 256
+        # residual power near the target: some bins are saturated, some are not
+        assert np.any(power < 1e-12 * target) and np.any(power > 0.1 * target)
+        assert np.all(power <= target * (1 + 1e-12))
+
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ValueError, match="sigma"):
+            homogenize(np.zeros((4, 4)), np.zeros((4, 4)), -1.0, ShConfig(), make_rng(0))
+        with pytest.raises(ValueError, match="sigma"):
+            naive_inject(np.zeros((4, 4)), -1.0, make_rng(0))
+
+
+class TestSynthesizeNoise:
+    def test_flat_deficit_gives_white_noise(self):
+        # a zero residual leaves the flat deficit sigma^2 * H * W in every bin:
+        # the noise then has mean square sigma^2 (Parseval) and a circular
+        # autocorrelation that vanishes at every nonzero lag
+        side, sigma = 32, 0.7
+        zeros = np.zeros((side, side))
+        for seed in range(5):
+            noise, _ = homogenize(zeros, zeros, sigma, ShConfig(), make_rng(seed))
+            assert np.mean(noise**2) == pytest.approx(sigma**2, rel=1e-12)
+            for dy, dx in ((0, 1), (1, 0), (1, 1), (5, 11)):
+                lagged = np.mean(noise * np.roll(noise, (dy, dx), axis=(0, 1)))
+                assert abs(lagged) < 1e-12 * sigma**2
+
+    def test_sample_mean_near_zero(self):
+        # the DC bin carries +-sqrt(target) / (H W) with the sign of the white draw
+        side, level = 32, 10.0
+        zeros = np.zeros((side, side))
+        sigma = np.sqrt(level) / side
+        means = [float(np.mean(homogenize(zeros, zeros, sigma, ShConfig(), make_rng(seed))[0]))
+                 for seed in range(100)]
+        std_per_field = np.sqrt(level) / (side * side)
+        assert abs(np.mean(means)) < 3 * std_per_field / np.sqrt(100) + 1e-12
+
 
 class TestEstimatePsd:
     def test_zero_residual_zero_psd(self):
@@ -91,25 +203,6 @@ class TestHomogenize:
         out, report = homogenize(v, v.copy(), 0.0, ShConfig(), make_rng(0))
         assert np.array_equal(out, v)
         assert report.injected_energy == 0.0
-
-    def test_zero_residual_injects_full_target(self):
-        # every bin's deficit is the whole target sigma^2 * H * W = 256
-        v = make_rng(22).standard_normal((8, 8))
-        _, report = homogenize(v, v.copy(), 2.0, ShConfig(), make_rng(23))
-        assert report.injected_energy == 256.0
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            homogenize(np.zeros((4, 4)), np.zeros((4, 5)), 1.0, ShConfig(), make_rng(0))
-        with pytest.raises(ValueError, match="sigma"):
-            homogenize(np.zeros((4, 4)), np.zeros((4, 4)), -1.0, ShConfig(), make_rng(0))
-
-    def test_constant_shift_of_both_inputs_cancels(self):
-        rng = make_rng(2)
-        v, z = rng.standard_normal((2, 8, 8))
-        shifted, _ = homogenize(v + 3.5, z + 3.5, 0.6, ShConfig(), make_rng(24))
-        plain, _ = homogenize(v, z, 0.6, ShConfig(), make_rng(24))
-        assert np.allclose(shifted - 3.5, plain)
 
     def test_structured_residual_flattens(self):
         side = 64
@@ -211,8 +304,9 @@ def _same_bits(a, b):
 class TestOneTransformOfTheResidual:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (5, 12), (17, 17), (64, 64), (320, 320)])
     @pytest.mark.parametrize("complex_grid", [False, True])
+    @pytest.mark.parametrize("sigma", [0.8, 3.0])  # deficit in few bins / in every bin
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_matches_two_transform_pipeline(self, monkeypatch, shape, complex_grid, cpus):
+    def test_matches_two_transform_pipeline(self, monkeypatch, shape, complex_grid, sigma, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if cpus == 1:
             monkeypatch.setattr(grid_core, "worker_pool", _no_pool)
@@ -222,8 +316,8 @@ class TestOneTransformOfTheResidual:
             v = v + 1j * rng.standard_normal(shape)
             z = z + 1j * rng.standard_normal(shape)
         cfg = ShConfig()
-        out, report = homogenize(v, z, 0.8, cfg, make_rng(3))
-        ref_out, ref = _two_transform_homogenize(v, z, 0.8, cfg, make_rng(3))
+        out, report = homogenize(v, z, sigma, cfg, make_rng(3))
+        ref_out, ref = _two_transform_homogenize(v, z, sigma, cfg, make_rng(3))
         assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
         for name in ("injected_energy", "flatness_before", "peak_to_floor"):
             got = np.float64(getattr(report, name)).view(np.uint64)
@@ -296,17 +390,13 @@ class TestNaiveInject:
         cfg = ShConfig()
         acc_n = np.zeros((side, side))
         acc_h = np.zeros((side, side))
-        means_h = []
         for seed in range(80):
             acc_n += estimate_psd(naive_inject(zeros, sigma, make_rng(seed)) - 0.0, cfg)
             out, _ = homogenize(zeros, zeros, sigma, cfg, make_rng(seed))
             acc_h += estimate_psd(out, cfg)
-            means_h.append(float(np.mean(out)))
         target = sigma**2 * side * side
         assert abs(acc_n.mean() / 80 - target) / target < 0.05
         assert abs(acc_h.mean() / 80 - target) / target < 0.05
-        # the DC bin carries +-sqrt(target) / (H W) with a random sign
-        assert abs(np.mean(means_h)) < 3 * np.sqrt(target) / (side * side) / np.sqrt(80)
 
     def test_complex_noise_per_channel(self):
         v = np.zeros((16, 16), dtype=complex)
