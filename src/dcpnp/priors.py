@@ -120,14 +120,17 @@ class GaussianPriorDenoiser(Denoiser):
 # --- total-variation prox ----------------------------------------------------
 
 
-# The dual field of one H x W channel lives in one flat buffer laid out as
-# [W zeros | p0 | p1], with p0 the vertical and p1 the horizontal component,
-# each row-major. The projection keeps p0's last row and p1's last column at
-# zero, so the divergence is a sum of differences of whole offset slices:
-# the pad is the row above p0's first row, the zero that ends p0 is the
-# entry left of p1's first, and the zero that ends each row of p1 is the
-# entry left of the next row's first. Adding or subtracting those zeros
-# leaves every sum as the sliced two-dimensional updates leave it.
+# The dual field of one H x W channel lives in one flat buffer `p` laid out
+# as [W zeros | p0 | p1], with p0 the vertical and p1 the horizontal
+# component, each row-major. The projection keeps p0's last row and p1's
+# last column at zero, so the divergence is a sum of differences of whole
+# offset slices: the pad is the row above p0's first row, the zero that ends
+# p0 is the entry left of p1's first, and the zero that ends each row of p1
+# is the entry left of the next row's first. Adding or subtracting those
+# zeros leaves every sum as the sliced two-dimensional updates leave it.
+# Besides p0 and p1, a channel has three n-entry buffers: `target` holds
+# v/gamma, `div` the divergence and then the step (div - target)/8, and
+# `mag` each gradient component of that step in turn and then max(1, |p|).
 
 
 def _div_into(p: np.ndarray, w: int, out: np.ndarray) -> None:
@@ -138,28 +141,29 @@ def _div_into(p: np.ndarray, w: int, out: np.ndarray) -> None:
     np.subtract(out, p[w + n - 1:w + 2 * n - 1], out=out)
 
 
-def _tv_dual_projection(v, gamma, iters, p, grad, div, target, mag):
+def _tv_dual_projection(v, gamma, iters, p, div, target, mag):
     """Run the dual projection of one channel in its own buffers; z ends in `div`."""
     h, w = v.shape
     n = h * w
-    dual = p[w:]
-    components = dual.reshape(2, n)
-    g0, g1 = grad[:n], grad[n:]
+    components = p[w:].reshape(2, n)
+    p0, p1 = components
     np.divide(v, gamma, out=target.reshape(h, w))
     for _ in range(iters):
         _div_into(p, w, div)
         np.subtract(div, target, out=div)
-        np.subtract(div[w:], div[:n - w], out=g0[:n - w])  # g0's last row stays 0
-        np.subtract(div[1:], div[:n - 1], out=g1[:n - 1])
-        g1[w - 1::w] = 0.0  # the differences across row ends
-        np.multiply(grad, 0.125, out=grad)
-        np.add(dual, grad, out=dual)
-        np.multiply(components[0], components[0], out=mag)
-        np.multiply(components[1], components[1], out=div)
-        np.add(mag, div, out=mag)
+        np.multiply(div, 0.125, out=div)
+        np.subtract(div[w:], div[:n - w], out=mag[:n - w])
+        np.add(p0[:n - w], mag[:n - w], out=p0[:n - w])  # p0's last row stays 0
+        np.subtract(div[1:], div[:n - 1], out=mag[:n - 1])
+        mag[w - 1::w] = 0.0  # the differences across row ends
+        np.add(p1, mag, out=p1)
+        np.einsum("ij,ij->j", components, components, out=mag)
         np.sqrt(mag, out=mag)
         np.maximum(mag, 1.0, out=mag)
-        np.divide(components, mag, out=components)
+        # one divide per component: dividing `components` by `mag` at once
+        # broadcasts, and numpy then copies all 2n entries on every step
+        np.divide(p0, mag, out=p0)
+        np.divide(p1, mag, out=p1)
     _div_into(p, w, div)
     np.multiply(div, gamma, out=div)
     np.subtract(v, div.reshape(h, w), out=div.reshape(h, w))
@@ -170,12 +174,24 @@ def _tv_prox_channels(channels, gamma: float, iters: int) -> np.ndarray:
     by Chambolle's dual gradient projection with the fixed step 1/8 (the
     spectral bound of the discrete gradient).
 
+    Each channel uses five HW-entry buffers, the dual components p0 and p1
+    (in one padded array `p`) and `div`, `target` and `mag`, and a step
+    allocates nothing: each gradient component of the step is written into
+    `mag` and added to its own dual component, |p|^2 is one `einsum` pass
+    into `mag`, and each component is divided by max(1, |p|) on its own.
+    The 1/8 step scales div - target (HW entries) rather than the gradient
+    (2HW). Scaling by a power of two commutes with rounding for normal
+    numbers, so the result is bitwise equal to the sliced two-dimensional
+    formulation except where (div - target)/8 is subnormal; there the
+    results differ in the last subnormal bits (by 6e-322 for |v| near
+    1e-306 and gamma = 1).
+
     The calling thread allocates every buffer, since buffers allocated on a
     worker stay cached in its glibc heap arena (mri320 peak RSS rose 6-7 MB
     when tried); `grid_core.fork_join` then projects the channels. The work
-    is elementwise numpy ufuncs, which release the GIL, in the order the
-    sliced two-dimensional formulation takes, so the result is bitwise equal
-    to projecting each channel alone.
+    is elementwise numpy ufuncs, which release the GIL, and no channel's
+    step reads another's buffers, so the result is bitwise equal to
+    projecting each channel alone.
     """
     c = len(channels)
     h, w = channels[0].shape
@@ -183,13 +199,12 @@ def _tv_prox_channels(channels, gamma: float, iters: int) -> np.ndarray:
         return np.array(channels)
     n = h * w
     p = np.zeros((c, w + 2 * n))
-    grad = np.zeros((c, 2 * n))
     div = np.empty((c, n))
     target = np.empty((c, n))
     mag = np.empty((c, n))
 
     def run(k: int) -> None:
-        _tv_dual_projection(channels[k], gamma, iters, p[k], grad[k], div[k], target[k], mag[k])
+        _tv_dual_projection(channels[k], gamma, iters, p[k], div[k], target[k], mag[k])
 
     grid_core.fork_join(run, range(c))
     return div.reshape(c, h, w)

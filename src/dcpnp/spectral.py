@@ -10,8 +10,9 @@ grids run the pipeline on their real and imaginary channel
 (`grid_core.channels`) at the same time, through `grid_core.fork_join`. The
 calling thread draws both white fields first, real channel first, and
 allocates every buffer; each channel then works in place in its slice of
-those buffers, so the result is bitwise equal to running the channels one
-after the other.
+those buffers, both transforms included, so no thread allocates the noise
+field, and the result is bitwise equal to running the channels one after
+the other.
 
 All functions use the unnormalized-forward DFT convention from grid_core,
 under which a white field of per-pixel variance s^2 has expected per-bin
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grid_core import _check_grid, channels, forward_dft, fork_join, from_channels
-from .grid_core import gaussian_window, inverse_dft, make_rng
+from .grid_core import gaussian_window, make_rng
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,21 @@ def _unit_phase(spectrum, scratch):
 
 
 def _real_field(spectrum, scratch):
-    """The inverse transform's real part, after checking that its imaginary
-    part vanishes. numpy's `ifft2` ignores `out=`, so the field is new."""
-    field_c = inverse_dft(spectrum)
-    worst_imag = float(np.abs(field_c.imag, out=scratch).max())
+    """Invert `spectrum` in place and return the field's real part, after
+    checking that its imaginary part vanishes.
+
+    The two in-place 1-D passes, rows then columns, are the passes `ifft2`
+    makes, so the bytes are `inverse_dft`'s; `ifft2` ignores `out=` and
+    would allocate the field and two temporaries. The grid check comes
+    first, since a NaN passes the imaginary-part test.
+    """
+    _check_grid(spectrum)
+    np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    np.fft.ifft(spectrum, axis=-2, out=spectrum)
+    worst_imag = float(np.abs(spectrum.imag, out=scratch).max())
     if worst_imag > 1e-9:
         raise AssertionError(f"synthesized noise is not real: max |imag| = {worst_imag}")
-    return field_c.real
+    return spectrum.real
 
 
 def _coefficient_of_variation(m, scratch=None):
@@ -179,8 +188,8 @@ def homogenize(
         deficit = np.maximum(0.0, np.subtract(target, psd, out=work), out=work)
         injected = deficit.sum()
         synth *= np.sqrt(deficit, out=deficit)
+        spectrum += synth  # before `synth` is inverted in place
         np.add(v_parts[k], _real_field(synth, work), out=out_parts[k])
-        spectrum += synth
         effective = _smoothed_periodogram(spectrum, kernel, work, _real_alias(synth))
         stats[k] = injected, flat_before, _coefficient_of_variation(effective, work)
 

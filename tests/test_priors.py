@@ -1,9 +1,11 @@
+import itertools
 import os
 import signal
 import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -239,7 +241,7 @@ def _complex_grid(seed, shape):
 
 class TestStackedTvProx:
     CASES = [(shape, gamma, iters)
-             for shape in ((1, 1), (1, 5), (7, 11), (64, 64))
+             for shape in ((1, 1), (1, 5), (5, 1), (7, 11), (33, 65), (64, 64))
              for gamma, iters in ((0.7, 20), (0.7, 1), (0.0, 20))]
 
     @pytest.mark.parametrize("shape,gamma,iters", CASES)
@@ -264,6 +266,35 @@ class TestStackedTvProx:
         want = (_reference_tv_prox(v.real, gamma, iters)
                 + 1j * _reference_tv_prox(v.imag, gamma, iters))
         assert _same_bits(out.view(np.float64), want.view(np.float64))
+
+    def test_squared_magnitude_pass_is_two_rounded_products_and_a_sum(self):
+        # the step takes |p|^2 from one einsum pass; a build that fused the
+        # sum into an FMA would move every result
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1.5e-154,
+                   1e154, -1.2e154, 1.3407807929942596e154, 1.0, 3.0]
+        pairs = np.array(list(itertools.product(special, repeat=2))).T
+        c = np.concatenate([pairs, make_rng(25).standard_normal((2, 1001))], axis=1)
+        with np.errstate(over="ignore"):
+            got = np.einsum("ij,ij->j", c, c, out=np.empty(c.shape[1]))
+            want = c[0] * c[0] + c[1] * c[1]
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("complex_grid", [False, True])
+    def test_denoise_allocates_no_more_than_its_buffers(self, monkeypatch, complex_grid):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        h = w = 64
+        n, c = h * w, 1 + complex_grid
+        v = _complex_grid(26, (h, w)) if complex_grid else make_rng(26).standard_normal((h, w))
+        d = TvProxDenoiser(0.5, 20)
+        d.denoise(v, 1.0)  # starts the pool thread outside the traced call
+        tracemalloc.start()
+        try:
+            d.denoise(v, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 8 * (c * (w + 2 * n) + 3 * c * n)
+        assert peak <= 1.1 * buffers, f"traced peak {peak / buffers:.2f}x the dual-projection buffers"
 
     def test_one_cpu_runs_channels_on_calling_thread(self, monkeypatch):
         def no_pool():

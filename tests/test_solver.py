@@ -228,18 +228,20 @@ class TestRunLoop:
 
     def test_mri_iteration_transform_budget(self, monkeypatch):
         # per iteration: 2 FFTs for the exact data step, 1 for the data
-        # residual, 3 per homogenized channel; plus 1 for the start A'y
+        # residual, 3 per homogenized channel; plus 1 for the start A'y.
+        # Homogenization inverts with two in-place 1-D passes, so a pair of
+        # `ifft` calls counts as one 2-D transform
         cfg = default_config("mri", image_side=32, af=4, steps=5, tv_iters=10)
         op = build_operator(cfg)
         truth = build_phantom(cfg, 0)
         y = simulate_measurements(op, truth, cfg, 0)
         counted = []
-        for name in ("fft2", "ifft2"):
-            monkeypatch.setattr(np.fft, name,
-                                lambda *a, _f=getattr(np.fft, name), **k: counted.append(1) or _f(*a, **k))
+        for name, weight in (("fft2", 1.0), ("ifft2", 1.0), ("ifft", 0.5)):
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=getattr(np.fft, name), _w=weight, **k:
+                                counted.append(_w) or _f(*a, **k))
         run(op, y, cfg.make_denoiser(), cfg.schedule(), VariantSpec.from_label("dual=on,inject=sh"),
             cfg.cg_config(), cfg.sh_config(), make_rng(0))
-        assert len(counted) == 9 * 5 + 1
+        assert sum(counted) == 9 * 5 + 1
 
     def test_seeded_run_deterministic(self):
         op, truth, y = small_problem(12, n=16)
