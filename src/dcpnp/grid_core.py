@@ -1,5 +1,5 @@
-"""2D sample grids, the DFT convention, seeded generators, grid I/O, and
-the two ways grid work is divided: across CPUs and across channels.
+"""2D sample grids, the DFT convention, seeded generators, grid and table
+I/O, and the two ways grid work is divided: across CPUs and across channels.
 
 Grids are plain numpy arrays: real grids are 2D float64, complex grids are
 2D complex128, frequency maps are 2D nonnegative float64. All public grid
@@ -17,6 +17,7 @@ the target level the spectral-homogenization module fills toward.
 
 from __future__ import annotations
 
+import csv
 import os
 import struct
 import threading
@@ -188,3 +189,12 @@ def save_pgm(path, g: np.ndarray, window: tuple[float, float] | None = None) -> 
     with open(path, "wb") as fh:
         fh.write(f"P5\n{g.shape[1]} {g.shape[0]}\n65535\n".encode("ascii"))
         fh.write(pixels.tobytes())
+
+
+def write_table(path, columns: Sequence[str], rows) -> None:
+    """CSV file: a header of `columns`, then one line per row of values. A None
+    cell is empty, a bool is 0 or 1 and a float is its round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([int(v) if isinstance(v, bool) else v for v in row] for row in rows)

@@ -2,8 +2,9 @@
 
 PSNR is computed on the declared intensity range; SSIM is the mean local
 structural similarity with the conventional 11x11 Gaussian window (std 1.5)
-and stabilizers K1 = 0.01, K2 = 0.03. Complex grids are compared through
-their magnitudes.
+and stabilizers K1 = 0.01, K2 = 0.03. On complex grids PSNR scores the
+complex error |a - b|, so a phase error counts, while SSIM compares the
+magnitudes.
 """
 
 from __future__ import annotations

@@ -16,14 +16,13 @@ the true minimizer (dual off).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .fidelity import CgConfig, prox_data_consistency
-from .grid_core import channels, from_channels, make_rng
+from .grid_core import channels, from_channels, make_rng, write_table
 from .metrics import psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
@@ -130,22 +129,8 @@ class IterationTrace:
         "peak_to_floor",
     )
 
-    @staticmethod
-    def _cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(int(value))
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
     def _write(self, path, columns) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for r in self.records:
-                writer.writerow(self._cell(getattr(r, col)) for col in columns)
+        write_table(path, columns, ([getattr(r, col) for col in columns] for r in self.records))
 
     def write_csv(self, path) -> None:
         self._write(path, self.TRACE_COLUMNS)

@@ -265,6 +265,17 @@ def test_only_grid_core_uses_the_pool():
     assert calls == []
 
 
+def test_acceptance_criteria_run_the_check_commands():
+    """A criterion that has a `dcpnp` command runs it, so the check and its
+    bounds are written once, in the CLI."""
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    checks = {"dot_test", "whitening_statistics", "certify_pair", "certification_instance"}
+    assert names & checks == set()
+
+
 class TestChannels:
     def test_real_grid_is_one_channel(self):
         g = make_rng(1).standard_normal((5, 7))

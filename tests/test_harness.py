@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcpnp import cli, experiment
+from dcpnp import cli, experiment, operators
 from dcpnp.experiment import (
     ExperimentConfig,
     MetricRow,
@@ -200,6 +200,7 @@ class TestConfig:
         ("cg_iters", 0, "max_iters must be at least 1"),
         ("steps", 0, "steps must be at least 1"),
         ("image_side", 8, "phantom side must be at least 16"),
+        ("variants", (), "at least one variant"),
     ])
     def test_bad_knob_rejected_at_construction(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -456,18 +457,46 @@ class TestParallelDeterminism:
         assert hashlib.sha256(one).hexdigest() == BLAS_SIZED_METRICS_SHA256
 
 
+def _inflate_fourier_adjoint(monkeypatch):
+    adjoint = operators.FourierMaskOperator.adjoint
+    monkeypatch.setattr(operators.FourierMaskOperator, "adjoint",
+                        lambda self, y: adjoint(self, y) * (1 + 1e-6))
+
+
+def _whitening_band_too_low(monkeypatch):
+    monkeypatch.setattr(cli, "whitening_statistics", lambda side, n_seeds: (0.85, 1.0, 0.2))
+
+
+def _dual_off_run_unconverged(monkeypatch):
+    certify_pair = cli.certify_pair
+
+    def unconverged(*args, **kwargs):
+        on, off, ratio = certify_pair(*args, **kwargs)
+        return on, dataclasses.replace(off, converged=False), ratio
+
+    monkeypatch.setattr(cli, "certify_pair", unconverged)
+
+
 class TestCli:
-    def test_dot_test_command_passes(self, capsys):
-        assert cli.main(["dot-test", "--size", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out and "FAIL" not in out
+    """The check commands pass on the shipped code through the acceptance
+    suite; here each is shown to fail when its check does."""
 
-    def test_certify_command_passes(self, capsys):
-        assert cli.main(["certify", "--instances", "2"]) == 0
+    @pytest.mark.parametrize("argv,breaker", [
+        (["dot-test"], _inflate_fourier_adjoint),
+        (["whiteness", "--seeds", "2"], _whitening_band_too_low),
+        (["certify", "--instances", "1"], _dual_off_run_unconverged),
+    ])
+    def test_failed_check_exits_1_with_a_fail_line(self, argv, breaker, monkeypatch, capsys):
+        breaker(monkeypatch)
+        assert cli.main(argv) == 1
+        assert "FAIL" in capsys.readouterr().out
 
-    def test_whiteness_command_passes(self, capsys):
-        assert cli.main(["whiteness", "--size", "64", "--seeds", "30"]) == 0
-        assert "ok" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [["certify", "--instances", "0"], ["dot-test", "--size", "15"]])
+    def test_out_of_range_count_or_size_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
 
     def test_run_command_with_config(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))
