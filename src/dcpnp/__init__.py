@@ -8,7 +8,6 @@ priors, ablation variants, and whitening / fixed-point diagnostics.
 from .fidelity import CgConfig, CgResult, prox_data_consistency
 from .grid_core import (
     forward_dft,
-    inverse_dft,
     load_grid,
     make_rng,
     save_grid,

@@ -8,7 +8,12 @@ Subcommands:
   dot-test   adjoint exactness of the shipped operators
   whiteness  Monte-Carlo check of the spectral whitening property
 
-These three checks are implemented here and nowhere else: the acceptance
+`run`, `ablate` and `sweep-nfe` run their grids through
+`experiment.run_experiment`: one run directory per row, one `metrics.csv`
+with a status column per grid, and for `sweep-nfe` one grid per outer-step
+budget K, in `<out>/steps<K>`.
+
+The last three checks are implemented here and nowhere else: the acceptance
 suite runs `dot-test`, `whiteness` and `certify` through `main`, so the
 bounds below are the release criteria's bounds.
 
@@ -19,7 +24,6 @@ passed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import experiment
@@ -91,10 +95,11 @@ def cmd_ablate(args) -> int:
 def cmd_sweep_nfe(args) -> int:
     cfg = _build_config(args)
     steps = tuple(int(s) for s in args.steps.split(","))
-    results = experiment.sweep_nfe(cfg, step_counts=steps)
-    for (variant, k), value in sorted(results.items()):
-        print(f"steps {k:4d}  {variant:26s}  mean psnr {value:7.2f}")
-    ok = all(math.isfinite(v) for v in results.values())
+    ok = True
+    for k, rows in experiment.sweep_nfe(cfg, step_counts=steps).items():
+        ok = _report_rows(rows) and ok
+        for variant, value in experiment.mean_psnr(rows).items():
+            print(f"steps {k:4d}  {variant:26s}  mean psnr {value:7.2f}")
     return 0 if ok else 1
 
 

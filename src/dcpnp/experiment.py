@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import dataclasses
+import itertools
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -280,13 +281,9 @@ def _cached_operator(cfg: ExperimentConfig) -> LinearOperator:
     return _OPERATOR_CACHE[key]
 
 
-def _variant_dirname(label: str) -> str:
-    return label.replace("=", "-").replace(",", "_")
-
-
-def run_row(cfg: ExperimentConfig, variant_label: str, seed: int,
-            write_outputs: bool = True) -> MetricRow:
+def run_row(cfg: ExperimentConfig, variant_label: str, seed: int) -> MetricRow:
     start = time.perf_counter()
+    run_dir = _run_dir(cfg, variant_label, seed)
     try:
         op = _cached_operator(cfg)
         truth = build_phantom(cfg, seed)
@@ -306,28 +303,26 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int,
             data_residual=norm(op.apply(recon) - y),
             wall_time=time.perf_counter() - start,
         )
-        if write_outputs:
-            run_dir = _run_dir(cfg, variant_label, seed)
-            run_dir.mkdir(parents=True, exist_ok=True)
-            save_grid(run_dir / "recon.dcpg", recon)
-            save_pgm(run_dir / "recon.pgm", recon, window=(-1.0, 1.0))
-            trace.write_csv(run_dir / "trace.csv")
-            trace.write_spectral_csv(run_dir / "spectral.csv")
-            write_config(run_dir / "config.resolved", cfg)
-            (run_dir / "error.txt").unlink(missing_ok=True)  # left by an earlier failed run
+        run_dir.mkdir(parents=True, exist_ok=True)
+        save_grid(run_dir / "recon.dcpg", recon)
+        save_pgm(run_dir / "recon.pgm", recon, window=(-1.0, 1.0))
+        trace.write_csv(run_dir / "trace.csv")
+        trace.write_spectral_csv(run_dir / "spectral.csv")
+        write_config(run_dir / "config.resolved", cfg)
+        (run_dir / "error.txt").unlink(missing_ok=True)  # left by an earlier failed run
         return row
     except Exception as exc:  # keep the remaining rows running
         row = MetricRow(cfg.task, variant_label, seed, float("nan"), float("nan"),
                         float("nan"), time.perf_counter() - start,
                         status=f"error: {type(exc).__name__}: {exc}")
-        if write_outputs:
-            with contextlib.suppress(OSError):  # the status line still records the failure
-                _write_error(_run_dir(cfg, variant_label, seed), row, exc)
+        with contextlib.suppress(OSError):  # the status line still records the failure
+            _write_error(run_dir, row, exc)
         return row
 
 
 def _run_dir(cfg: ExperimentConfig, variant_label: str, seed: int) -> Path:
-    return Path(cfg.out_dir) / f"{cfg.task}_{_variant_dirname(variant_label)}_seed{seed}"
+    dirname = variant_label.replace("=", "-").replace(",", "_")
+    return Path(cfg.out_dir) / f"{cfg.task}_{dirname}_seed{seed}"
 
 
 def _write_error(run_dir: Path, row: MetricRow, exc: Exception) -> None:
@@ -341,27 +336,20 @@ def _write_error(run_dir: Path, row: MetricRow, exc: Exception) -> None:
                                        + "".join(traceback.format_exception(exc)))
 
 
-def _row_worker(args) -> MetricRow:
-    cfg, label, seed, write_outputs = args
-    return run_row(cfg, label, seed, write_outputs)
-
-
-def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> list[MetricRow]:
+def run_experiment(cfg: ExperimentConfig) -> list[MetricRow]:
     """Execute the full (variant x seed) grid and write summary CSVs."""
-    jobs = [(cfg, label, seed, write_outputs)
-            for label in cfg.variants for seed in cfg.seeds]
-    if cfg.workers > 1 and len(jobs) > 1:
+    labels, seeds = zip(*itertools.product(cfg.variants, cfg.seeds))
+    if cfg.workers > 1 and len(labels) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_row_worker, jobs))
+            rows = list(pool.map(run_row, [cfg] * len(labels), labels, seeds))
     else:
-        rows = [_row_worker(job) for job in jobs]
-    if write_outputs:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out / "metrics.csv", rows)
-        write_table(out / "runlog.csv", ("task", "variant", "seed", "status", "wall_time"),
-                    ([r.task, r.variant, r.seed, r.status, f"{r.wall_time:.3f}"] for r in rows))
-        write_config(out / "config.resolved", cfg)
+        rows = list(map(run_row, [cfg] * len(labels), labels, seeds))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(out / "metrics.csv", rows)
+    write_table(out / "runlog.csv", ("task", "variant", "seed", "status", "wall_time"),
+                ([r.task, r.variant, r.seed, r.status, f"{r.wall_time:.3f}"] for r in rows))
+    write_config(out / "config.resolved", cfg)
     return rows
 
 
@@ -371,10 +359,9 @@ def write_metrics_csv(path, rows: list[MetricRow]) -> None:
                 ([getattr(row, col) for col in _METRIC_COLUMNS] for row in rows))
 
 
-def ablate(cfg: ExperimentConfig, write_outputs: bool = True) -> list[MetricRow]:
+def ablate(cfg: ExperimentConfig) -> list[MetricRow]:
     """Run the 2x2 coupling/injection grid used for the component ablation."""
-    cfg = dataclasses.replace(cfg, variants=ABLATION_VARIANTS)
-    return run_experiment(cfg, write_outputs)
+    return run_experiment(dataclasses.replace(cfg, variants=ABLATION_VARIANTS))
 
 
 def mean_psnr(rows: list[MetricRow]) -> dict[str, float]:
@@ -388,24 +375,10 @@ def mean_psnr(rows: list[MetricRow]) -> dict[str, float]:
 
 
 def sweep_nfe(cfg: ExperimentConfig, step_counts=(10, 20, 30, 50, 100),
-              variants=(MEMORYLESS, FULL_METHOD),
-              write_outputs: bool = True):
-    """Compute-budget sweep: rerun each variant at several outer-step counts.
-
-    Returns {(variant, steps): mean PSNR over seeds} and writes nfe.csv.
-    """
-    results = {}
-    rows_all = []
-    for steps in step_counts:
-        sub = dataclasses.replace(cfg, steps=steps, variants=tuple(variants))
-        rows = run_experiment(sub, write_outputs=False)
-        rows_all.extend((steps, row) for row in rows)
-        means = mean_psnr(rows)
-        for label in variants:
-            results[(label, steps)] = means.get(label, float("nan"))
-    if write_outputs:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_table(out / "nfe.csv", ("steps", "variant", "seed", "psnr"),
-                    ((steps, row.variant, row.seed, row.psnr) for steps, row in rows_all))
-    return results
+              variants=(MEMORYLESS, FULL_METHOD)) -> dict[int, list[MetricRow]]:
+    """Compute-budget sweep: {K: rows} of the variants run at each outer-step
+    count K, each budget an ordinary experiment in `<out_dir>/steps{K}`."""
+    out = Path(cfg.out_dir)
+    return {k: run_experiment(dataclasses.replace(cfg, steps=k, variants=tuple(variants),
+                                                  out_dir=str(out / f"steps{k}")))
+            for k in step_counts}

@@ -8,9 +8,11 @@ FFTs there and always converged in its first step. Such a step reports
 `iterations=0`, `converged=True` and no residual norms. Every other
 operator (Radon, dense, identity), and lam = 0, goes through the
 regularized normal equations (A'A + lam I) x = A'y + lam (z - u),
-warm-started from z - u. Plain CG, no preconditioner: the fixed iteration
-budgets are part of the controlled solver comparison and must not be
-perturbed.
+warm-started from z - u. Plain CG, no preconditioner, for a fixed budget,
+which on noisy data is also the regularizer: stopping early keeps x from
+fitting the noise. On the noisy LACT acceptance config dual-only scores
+20.12 dB at CG budget 30 and 15.55 dB at 100 (means over seeds 0-2), so a
+new budget or a preconditioner changes results, not only speed.
 
 CG's inner products and norms come from `reductions`, which sums them in
 one fixed order on a single BLAS thread: results do not depend on the BLAS

@@ -126,13 +126,6 @@ def forward_dft(g: np.ndarray) -> np.ndarray:
     return np.fft.fft2(g)
 
 
-def inverse_dft(G: np.ndarray) -> np.ndarray:
-    """Inverse 2D DFT carrying the 1/(H*W) factor; exact inverse of forward_dft."""
-    G = np.asarray(G)
-    _check_grid(G)
-    return np.fft.ifft2(G)
-
-
 # --- serialization ---------------------------------------------------------
 #
 # Binary layout: magic "DCPG", height and width as little-endian uint32,

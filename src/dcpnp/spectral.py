@@ -21,6 +21,7 @@ power s^2 * H * W.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,13 @@ def _real_field(spectrum, scratch):
     checking that its imaginary part vanishes.
 
     The two in-place 1-D passes, rows then columns, are the passes `ifft2`
-    makes, so the bytes are `inverse_dft`'s; `ifft2` ignores `out=` and
-    would allocate the field and two temporaries. The grid check comes
-    first, since a NaN passes the imaginary-part test.
+    makes, so the bytes are `np.fft.ifft2`'s; `ifft2` ignores `out=` and
+    would allocate the field and two temporaries. Finiteness is checked
+    first, through `scratch` rather than a full-size temporary, since a NaN
+    passes the imaginary-part test and an infinite bin can leave it finite.
     """
-    _check_grid(spectrum)
+    if not math.isfinite(np.abs(spectrum, out=scratch).max()):
+        raise ValueError("grid contains non-finite samples")
     np.fft.ifft(spectrum, axis=-1, out=spectrum)
     np.fft.ifft(spectrum, axis=-2, out=spectrum)
     worst_imag = float(np.abs(spectrum.imag, out=scratch).max())

@@ -218,18 +218,18 @@ class TestRunExperiment:
     def test_grid_size_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, variants=("dual=on,inject=none", "dual=off,inject=none"),
                           seeds=(0, 1, 2))
-        rows = run_experiment(cfg, write_outputs=False)
+        rows = run_experiment(cfg)
         assert len(rows) == 6
 
     def test_ablation_grid_is_2x2(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0,))
-        rows = ablate(cfg, write_outputs=False)
+        rows = ablate(cfg)
         assert len(rows) == 4
         assert len({r.variant for r in rows}) == 4
 
     def test_four_variants_three_seeds_gives_twelve_rows(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0, 1, 2))
-        rows = ablate(cfg, write_outputs=False)
+        rows = ablate(cfg)
         assert len(rows) == 12
 
     def test_outputs_written(self, tmp_path):
@@ -255,7 +255,7 @@ class TestRunExperiment:
 
     def test_row_failure_recorded_not_raised(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0,), detector_bins=11)  # too narrow
-        rows = run_experiment(cfg, write_outputs=False)
+        rows = run_experiment(cfg)
         assert len(rows) == 1
         assert rows[0].status.startswith("error:")
         assert math.isnan(rows[0].psnr)
@@ -289,31 +289,29 @@ class TestRunExperiment:
         assert row.status == "ok"
         assert not error.exists()
 
-    def test_no_error_txt_without_outputs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiment, "run", lambda *args, **kwargs: 1 / 0)
-        cfg = tiny_config(tmp_path, seeds=(0,))
-        [row] = run_experiment(cfg, write_outputs=False)
-        assert row.status.startswith("error: ZeroDivisionError")
-        assert not Path(cfg.out_dir).exists()
-
     def test_mri_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="mri", image_side=32, af=4, center_lines=4,
                           seeds=(0,), steps=3)
-        rows = run_experiment(cfg, write_outputs=False)
+        rows = run_experiment(cfg)
         assert rows[0].status == "ok"
         assert math.isfinite(rows[0].psnr)
 
     def test_measurement_noise_changes_rows(self, tmp_path):
-        clean = run_row(tiny_config(tmp_path, seeds=(0,)), "dual=on,inject=none", 0, write_outputs=False)
+        clean = run_row(tiny_config(tmp_path, seeds=(0,)), "dual=on,inject=none", 0)
         noisy = run_row(tiny_config(tmp_path, seeds=(0,), measurement_noise_std=0.5),
-                        "dual=on,inject=none", 0, write_outputs=False)
+                        "dual=on,inject=none", 0)
         assert clean.psnr != noisy.psnr
 
     def test_sweep_nfe_shape(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0,))
-        results = sweep_nfe(cfg, step_counts=(2, 3),
-                            variants=("dual=on,inject=sh",), write_outputs=False)
-        assert set(results) == {("dual=on,inject=sh", 2), ("dual=on,inject=sh", 3)}
+        results = sweep_nfe(cfg, step_counts=(2, 3), variants=("dual=on,inject=sh",))
+        assert list(results) == [2, 3]
+        for k, rows in results.items():
+            assert [(r.variant, r.status) for r in rows] == [("dual=on,inject=sh", "ok")]
+            out = Path(cfg.out_dir) / f"steps{k}"
+            assert f"\nsteps = {k}\n" in (out / "config.resolved").read_text()
+            assert (out / "metrics.csv").read_text().splitlines()[1].endswith(",ok")
+            assert (out / "svct_dual-on_inject-sh_seed0" / "trace.csv").exists()
 
 
 def _row(variant: str, seed: int, value: float, status: str = "ok") -> MetricRow:
@@ -512,6 +510,27 @@ class TestCli:
                          "--out", str(tmp_path / "o2")]) == 0
         metrics = (tmp_path / "o2" / "metrics.csv").read_text()
         assert ",7," in metrics and ",0," not in metrics
+
+    def test_sweep_nfe_exits_1_and_records_a_failed_row(self, tmp_path, monkeypatch, capsys):
+        real_row = experiment.run_row
+
+        def fail_seed_1(cfg, variant_label, seed):
+            if seed == 1:
+                return MetricRow(cfg.task, variant_label, seed, float("nan"), float("nan"),
+                                 float("nan"), 0.0, "error: boom")
+            return real_row(cfg, variant_label, seed)
+
+        monkeypatch.setattr(experiment, "run_row", fail_seed_1)
+        path = tmp_path / "cfg.ini"
+        write_config(path, tiny_config(tmp_path, seeds=(0, 1)))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-nfe", "--config", str(path), "--steps", "2,3",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().out.count("[error: boom]") == 4
+        for k in (2, 3):
+            lines = (out / f"steps{k}" / "metrics.csv").read_text().splitlines()
+            statuses = [line.rsplit(",", 1)[1] for line in lines[1:]]
+            assert statuses == ["ok", "error: boom"] * 2
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "dcpnp.cli", "--help"],

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from scipy import ndimage
 
 from dcpnp import grid_core
-from dcpnp.grid_core import forward_dft, inverse_dft, make_rng
-from dcpnp.spectral import ShConfig, estimate_psd, homogenize, naive_inject
+from dcpnp.grid_core import forward_dft, make_rng
+from dcpnp.spectral import ShConfig, _real_field, estimate_psd, homogenize, naive_inject
 
 
 def streak_field(side, amplitudes=((3, 11), (17, 5), (9, 23)), scale=0.12):
@@ -268,7 +269,7 @@ def _two_transform_homogenize(v, z_prev, sigma, cfg, rng):
         mag = np.abs(spectrum)
         degenerate = mag < 1e-300
         phase = np.where(degenerate, 1.0 + 0j, spectrum / np.where(degenerate, 1.0, mag))
-        noise = inverse_dft(np.sqrt(deficit) * phase).real
+        noise = np.fft.ifft2(np.sqrt(deficit) * phase).real
         return noise, psd, deficit, psd_of(r + noise)
 
     def cv(m):
@@ -360,6 +361,32 @@ class TestOneTransformOfTheResidual:
                 assert _same_bits(out, ref_out)
                 assert report.injected_energy == ref["injected_energy"]
                 assert report.peak_to_floor == ref["peak_to_floor"]
+
+
+class TestRealField:
+    # an inf in a bin with zero imaginary part, and a NaN, both pass the
+    # imaginary-part test, so finiteness has its own check
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0),
+                                     complex(0.0, np.nan), complex(1.0, -np.inf)])
+    def test_non_finite_spectrum_rejected(self, bad):
+        spectrum = forward_dft(make_rng(40).standard_normal((8, 8)))
+        spectrum[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _real_field(spectrum, np.empty(spectrum.shape))
+
+    def test_warm_320px_call_allocates_no_grid(self):
+        spectrum = forward_dft(make_rng(41).standard_normal((320, 320)))
+        scratch = np.empty(spectrum.shape)
+        _real_field(spectrum.copy(), scratch)  # outside the trace: numpy's FFT setup
+        work = spectrum.copy()
+        tracemalloc.start()
+        try:
+            field = _real_field(work, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000, f"traced peak {peak} bytes"
+        assert _same_bits(field.copy(), np.fft.ifft2(spectrum).real.copy())
 
 
 class TestNaiveInject:
