@@ -13,9 +13,10 @@ Subcommands:
 with a status column per grid, and for `sweep-nfe` one grid per outer-step
 budget K, in `<out>/steps<K>`.
 
-The last three checks are implemented here and nowhere else: the acceptance
-suite runs `dot-test`, `whiteness` and `certify` through `main`, so the
-bounds below are the release criteria's bounds.
+The last three checks are implemented here and nowhere else, and each is one
+fixed check that takes no options: the acceptance suite runs the bare
+`dot-test`, `whiteness` and `certify` through `main`, so the settings and
+bounds below are the release criteria's.
 
 Exit status is 0 only if every run completed and every enabled assertion
 passed.
@@ -34,13 +35,20 @@ from .solver import certification_instance, certify_pair
 from .spectral import whitening_statistics
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
-    return integer
+# the check commands' fixed settings: certify draws instance i from
+# make_rng(CERTIFY_SEED + i), dot-test draws from make_rng(DOT_TEST_SEED)
+CERTIFY_SEED, CERTIFY_INSTANCES, CERTIFY_SIDE = 100, 10, 16
+CERTIFY_TOL, CERTIFY_MAX_ITERS = 1e-6, 500
+DOT_TEST_SIDE, DOT_TEST_SEED = 32, 0
+WHITENESS_SIDE, WHITENESS_SEEDS = 64, 100
+
+
+def _step_budgets(text: str) -> tuple[int, ...]:
+    """argparse type for `--steps`: distinct positive integers, comma-separated."""
+    steps = tuple(int(part) if part.strip().isdecimal() else 0 for part in text.split(","))
+    if min(steps) < 1 or len(set(steps)) < len(steps):
+        raise argparse.ArgumentTypeError(f"need distinct integers of at least 1, got {text!r}")
+    return steps
 
 
 def _build_config(args) -> experiment.ExperimentConfig:
@@ -86,7 +94,7 @@ def cmd_ablate(args) -> int:
         return 1
     hqs, dc, full = (means[label] for label in (experiment.MEMORYLESS, experiment.DUAL_ONLY,
                                                  experiment.FULL_METHOD))
-    print(f"mean psnr: hqs {hqs:.2f} | dual-only {dc:.2f} | full {full:.2f}")
+    print(f"mean psnr: hqs {hqs:.3f} | dual-only {dc:.3f} | full {full:.3f}")
     ordering = full >= dc > hqs
     print(f"ordering full >= dual-only > hqs: {'PASS' if ordering else 'FAIL'}")
     return 0 if ok and ordering else 1
@@ -94,9 +102,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_nfe(args) -> int:
     cfg = _build_config(args)
-    steps = tuple(int(s) for s in args.steps.split(","))
     ok = True
-    for k, rows in experiment.sweep_nfe(cfg, step_counts=steps).items():
+    for k, rows in experiment.sweep_nfe(cfg, step_counts=args.steps).items():
         ok = _report_rows(rows) and ok
         for variant, value in experiment.mean_psnr(rows).items():
             print(f"steps {k:4d}  {variant:26s}  mean psnr {value:7.2f}")
@@ -104,39 +111,40 @@ def cmd_sweep_nfe(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    certs = [certify_pair(*certification_instance(args.seed + i, args.size), tol=args.tol,
-                          max_iters=args.max_iters) for i in range(args.instances)]
+    certs = [certify_pair(*certification_instance(CERTIFY_SEED + i, CERTIFY_SIDE),
+                          tol=CERTIFY_TOL, max_iters=CERTIFY_MAX_ITERS)
+             for i in range(CERTIFY_INSTANCES)]
     certified = 0
     for instance, (on, off, ratio) in enumerate(certs):
-        good = (on.converged and on.consensus < args.tol and on.stationarity < args.tol
-                and off.converged and off.prediction_error < args.tol and ratio >= 10.0)
+        good = (on.converged and on.consensus < CERTIFY_TOL and on.stationarity < CERTIFY_TOL
+                and off.converged and off.prediction_error < CERTIFY_TOL and ratio >= 10.0)
         certified += good
         print(f"instance {instance:2d}: consensus {on.consensus:.2e} "
               f"stationarity {on.stationarity:.2e} bias {off.error_vs_optimum:.3e} "
               f"bias/err {ratio:9.1f}x prediction {off.prediction_error:.2e} "
               f"[{'ok' if good else 'FAIL'}]")
     ons, offs, ratios = zip(*certs)
-    print(f"{certified}/{args.instances} instances certified: worst consensus "
+    print(f"{certified}/{CERTIFY_INSTANCES} instances certified: worst consensus "
           f"{max(c.consensus for c in ons):.2e}, worst stationarity "
           f"{max(c.stationarity for c in ons):.2e}, bias/err >= {min(ratios):.0f}x, "
           f"worst prediction {max(c.prediction_error for c in offs):.2e}")
-    return 0 if certified == args.instances else 1
+    return 0 if certified == CERTIFY_INSTANCES else 1
 
 
 def cmd_dot_test(args) -> int:
     worst = 0.0
     for task in experiment.TASKS:
-        op = experiment.build_operator(default_config(task, image_side=args.size))
-        value = dot_test(op, make_rng(args.seed))
+        op = experiment.build_operator(default_config(task, image_side=DOT_TEST_SIDE))
+        value = dot_test(op, make_rng(DOT_TEST_SEED))
         worst = max(worst, value)
         print(f"{task:5s} discrepancy {value:.3e}  [{'ok' if value < 1e-10 else 'FAIL'}]")
     return 0 if worst < 1e-10 else 1
 
 
 def cmd_whiteness(args) -> int:
-    lo, hi, ratio = whitening_statistics(args.size, args.seeds)
+    lo, hi, ratio = whitening_statistics(WHITENESS_SIDE, WHITENESS_SEEDS)
     band_ok = 0.9 <= lo and hi <= 1.1
-    print(f"mean effective PSD / target over {args.seeds} seeds: min {lo:.4f} max {hi:.4f} "
+    print(f"mean effective PSD / target over {WHITENESS_SEEDS} seeds: min {lo:.4f} max {hi:.4f} "
           f"[{'ok' if band_ok else 'FAIL'}]")
     flat_ok = ratio < 0.5
     print(f"flatness CV ratio homogenized/naive on streaks: {ratio:.3f} "
@@ -167,26 +175,13 @@ def main(argv=None) -> int:
 
     p_nfe = sub.add_parser("sweep-nfe", help="outer-step budget sweep")
     common(p_nfe, variant=False)
-    p_nfe.add_argument("--steps", default="10,20,30,50,100")
+    p_nfe.add_argument("--steps", type=_step_budgets, default="10,20,30,50,100",
+                       help="distinct outer-step budgets, comma-separated")
     p_nfe.set_defaults(func=cmd_sweep_nfe)
 
-    p_cert = sub.add_parser("certify", help="fixed-point certificates")
-    p_cert.add_argument("--instances", type=_at_least(1), default=10)
-    p_cert.add_argument("--size", type=int, default=16)
-    p_cert.add_argument("--tol", type=float, default=1e-6)
-    p_cert.add_argument("--max-iters", type=int, default=500)
-    p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_dot = sub.add_parser("dot-test", help="operator adjoint checks")
-    p_dot.add_argument("--size", type=_at_least(16), default=32, help="image side, 16+")
-    p_dot.add_argument("--seed", type=int, default=0)
-    p_dot.set_defaults(func=cmd_dot_test)
-
-    p_wh = sub.add_parser("whiteness", help="spectral whitening Monte-Carlo")
-    p_wh.add_argument("--size", type=int, default=64)
-    p_wh.add_argument("--seeds", type=int, default=100)
-    p_wh.set_defaults(func=cmd_whiteness)
+    sub.add_parser("certify", help="fixed-point certificates").set_defaults(func=cmd_certify)
+    sub.add_parser("dot-test", help="operator adjoint checks").set_defaults(func=cmd_dot_test)
+    sub.add_parser("whiteness", help="whitening Monte-Carlo").set_defaults(func=cmd_whiteness)
 
     args = parser.parse_args(argv)
     return args.func(args)

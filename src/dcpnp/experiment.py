@@ -74,7 +74,6 @@ class ExperimentConfig:
     n_views: int = 20
     max_angle: float = 90.0
     detector_bins: int = 0  # 0 -> derived default (363 up to 256px)
-    detector_pitch: float = 1.0
     # mri geometry
     af: int = 6
     center_lines: int = 16
@@ -87,10 +86,8 @@ class ExperimentConfig:
     denoiser: str = "tv-prox"
     tv_weight: float = 1.0
     tv_iters: int = 50
-    gaussian_tau: float = 1.0
     # data-consistency solve
     cg_iters: int = 20
-    cg_tol: float = 1e-10
     lam0: float = 1e-05
     # spectral homogenization
     sh_window: int = 7
@@ -115,7 +112,7 @@ class ExperimentConfig:
         return NoiseSchedule(self.sigma_max, self.sigma_min, self.steps, self.spacing)
 
     def cg_config(self) -> CgConfig:
-        return CgConfig(self.cg_iters, self.cg_tol, self.lam0)
+        return CgConfig(self.cg_iters, lam=self.lam0)
 
     def sh_config(self) -> ShConfig:
         return ShConfig(self.sh_window)
@@ -126,7 +123,7 @@ class ExperimentConfig:
             return TvProxDenoiser(self.tv_weight, self.tv_iters)
         if self.denoiser == "gaussian-prior":
             zero = np.zeros((self.image_side, self.image_side))
-            return GaussianPriorDenoiser(zero, self.gaussian_tau)
+            return GaussianPriorDenoiser(zero, tau=1.0)
         if self.denoiser == "identity":
             return IdentityDenoiser()
         raise ValueError(f"unknown denoiser {self.denoiser!r}; a config can select "
@@ -226,10 +223,10 @@ def _rng_for(seed: int, role: int) -> np.random.Generator:
 def build_operator(cfg: ExperimentConfig) -> LinearOperator:
     bins = cfg.detector_bins if cfg.detector_bins > 0 else None
     if cfg.task == "svct":
-        geo = make_sparse_view_geometry(cfg.n_views, cfg.image_side, bins, cfg.detector_pitch)
+        geo = make_sparse_view_geometry(cfg.n_views, cfg.image_side, bins)
         return RadonOperator(geo)
     if cfg.task == "lact":
-        geo = make_limited_angle_geometry(cfg.n_views, cfg.max_angle, cfg.image_side, bins, cfg.detector_pitch)
+        geo = make_limited_angle_geometry(cfg.n_views, cfg.max_angle, cfg.image_side, bins)
         return RadonOperator(geo)
     mask = make_cartesian_mask(cfg.image_side, cfg.image_side, cfg.af, cfg.center_lines)
     return FourierMaskOperator(mask)
@@ -273,8 +270,8 @@ _OPERATOR_CACHE: dict = {}
 
 
 def _cached_operator(cfg: ExperimentConfig) -> LinearOperator:
-    key = (cfg.task, cfg.image_side, cfg.n_views, cfg.max_angle, cfg.detector_bins,
-           cfg.detector_pitch, cfg.af, cfg.center_lines)
+    key = (cfg.task, cfg.image_side, cfg.n_views, cfg.max_angle, cfg.detector_bins, cfg.af,
+           cfg.center_lines)
     if key not in _OPERATOR_CACHE:
         _OPERATOR_CACHE.clear()  # keep at most one matrix resident
         _OPERATOR_CACHE[key] = build_operator(cfg)
@@ -377,8 +374,11 @@ def mean_psnr(rows: list[MetricRow]) -> dict[str, float]:
 def sweep_nfe(cfg: ExperimentConfig, step_counts=(10, 20, 30, 50, 100),
               variants=(MEMORYLESS, FULL_METHOD)) -> dict[int, list[MetricRow]]:
     """Compute-budget sweep: {K: rows} of the variants run at each outer-step
-    count K, each budget an ordinary experiment in `<out_dir>/steps{K}`."""
+    count K, each budget an ordinary experiment in `<out_dir>/steps{K}`. Every
+    budget's config is built, and so checked, before the first budget runs."""
+    if len(set(step_counts)) < len(step_counts):
+        raise ValueError(f"step_counts repeats a budget: {tuple(step_counts)}")
     out = Path(cfg.out_dir)
-    return {k: run_experiment(dataclasses.replace(cfg, steps=k, variants=tuple(variants),
-                                                  out_dir=str(out / f"steps{k}")))
-            for k in step_counts}
+    configs = {k: dataclasses.replace(cfg, steps=k, variants=tuple(variants),
+                                      out_dir=str(out / f"steps{k}")) for k in step_counts}
+    return {k: run_experiment(budget_cfg) for k, budget_cfg in configs.items()}

@@ -32,21 +32,21 @@ from .spectral import ShConfig, SpectralReport, homogenize, naive_inject
 DIVERGENCE_LIMIT = 1e12
 
 
-class SolverDivergence(RuntimeError):
-    """State norm exploded; carries the trace collected so far."""
-
-    def __init__(self, message: str, trace: "IterationTrace"):
-        super().__init__(message)
-        self.trace = trace
-
-
 class SolverStepError(RuntimeError):
     """A sub-step failed; remembers the outer iteration index."""
 
-    def __init__(self, k: int, original: Exception):
+    def __init__(self, k: int, original: Exception | str):
         super().__init__(f"iteration {k}: {original}")
         self.k = k
         self.original = original
+
+
+class SolverDivergence(SolverStepError):
+    """State norm exploded at iteration k; carries the trace collected so far."""
+
+    def __init__(self, k: int, message: str, trace: "IterationTrace"):
+        super().__init__(k, message)
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,12 @@ def dual_update(state: SolverState) -> SolverState:
     return replace(state, u=state.u + (state.x - state.z))
 
 
-def _check_state_finite(state: SolverState, trace: IterationTrace, k: int) -> None:
-    for name, grid in (("x", state.x), ("z", state.z), ("u", state.u)):
-        size = norm(grid)
+def _check_state_finite(state: SolverState, trace: IterationTrace) -> None:
+    """Raise SolverDivergence if x, z or u blew up; u's norm is the last record's."""
+    record = trace.records[-1]
+    for name, size in (("x", norm(state.x)), ("z", norm(state.z)), ("u", record.dual_norm)):
         if not math.isfinite(size) or size > DIVERGENCE_LIMIT:
-            raise SolverDivergence(
-                f"iteration {k}: state {name} diverged (norm {size:.3e})", trace
-            )
+            raise SolverDivergence(record.k, f"state {name} diverged (norm {size:.3e})", trace)
 
 
 def run(
@@ -229,7 +228,7 @@ def run(
             **(asdict(report) if report is not None else {}),
         )
         trace.records.append(record)
-        _check_state_finite(state, trace, k)
+        _check_state_finite(state, trace)
         if on_iteration is not None and on_iteration(k, state):
             break
     return state.z, trace

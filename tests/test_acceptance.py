@@ -48,7 +48,7 @@ def _run_command(c: Criterion, *argv: str) -> None:
 
 def test_adjoint_exactness():
     with Criterion("adjoint exactness (dot tests)", 1.0) as c:
-        _run_command(c, "dot-test", "--size", "32")
+        _run_command(c, "dot-test")
 
 
 def test_cg_matches_dense_oracle():
@@ -86,13 +86,13 @@ def test_tweedie_identity():
 
 def test_spectral_whitening():
     with Criterion("spectral whitening (100-seed Monte Carlo)", 30.0) as c:
-        _run_command(c, "whiteness", "--size", "64", "--seeds", "100")
+        _run_command(c, "whiteness")
 
 
 def test_fixed_point_certificates():
     with Criterion("fixed point with the dual, predictable bias without (10 convex instances)",
                    10.0) as c:
-        _run_command(c, "certify", "--seed", "100", "--instances", "10")
+        _run_command(c, "certify")
 
 
 # Phantom benchmark configurations, calibrated once on the shipped solver

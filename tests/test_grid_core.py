@@ -264,6 +264,33 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_dead_private_names():
+    """A module-level `_name` (function, class or constant) that nothing in
+    the package loads is dead code: its last caller went and it stayed."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(grid_core.__file__).parent.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}:{node.lineno} {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in loaded]
+    assert dead == []
+
+
 def test_acceptance_criteria_run_the_check_commands():
     """A criterion that has a `dcpnp` command runs it, so the check and its
     bounds are written once, in the CLI."""

@@ -29,6 +29,7 @@ from dcpnp.experiment import (
 from dcpnp.grid_core import make_rng
 from dcpnp.metrics import psnr, ssim
 from dcpnp.phantoms import PhantomSpec, flat_disk, make_phantom, mri_phantom, random_ellipses, shepp_logan
+from dcpnp.priors import IdentityDenoiser
 from dcpnp.solver import SolverStepError
 
 
@@ -302,6 +303,26 @@ class TestRunExperiment:
                         "dual=on,inject=none", 0)
         assert clean.psnr != noisy.psnr
 
+    @pytest.mark.parametrize("step_counts,match", [((2, 0), "steps must be at least 1"),
+                                                   ((2, 2), "repeats a budget")])
+    def test_sweep_nfe_checks_every_budget_before_running(self, tmp_path, step_counts, match):
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        with pytest.raises(ValueError, match=match):
+            sweep_nfe(cfg, step_counts=step_counts)
+        assert not Path(cfg.out_dir).exists()
+
+    def test_diverging_row_error_txt_names_its_iteration(self, tmp_path, monkeypatch):
+        class ExplodingDenoiser(IdentityDenoiser):
+            def _denoise(self, v, sigma, t):
+                return v * 1e7
+
+        monkeypatch.setattr(ExperimentConfig, "make_denoiser", lambda self: ExplodingDenoiser())
+        cfg = tiny_config(tmp_path, seeds=(0,), variants=("dual=on,inject=none",))
+        [row] = run_experiment(cfg)
+        assert row.status.startswith("error: SolverDivergence: iteration 1: state")
+        error = (Path(cfg.out_dir) / "svct_dual-on_inject-none_seed0" / "error.txt").read_text()
+        assert "\niteration: 1\n" in error
+
     def test_sweep_nfe_shape(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0,))
         results = sweep_nfe(cfg, step_counts=(2, 3), variants=("dual=on,inject=sh",))
@@ -481,20 +502,39 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,breaker", [
         (["dot-test"], _inflate_fourier_adjoint),
-        (["whiteness", "--seeds", "2"], _whitening_band_too_low),
-        (["certify", "--instances", "1"], _dual_off_run_unconverged),
+        (["whiteness"], _whitening_band_too_low),
+        (["certify"], _dual_off_run_unconverged),
     ])
     def test_failed_check_exits_1_with_a_fail_line(self, argv, breaker, monkeypatch, capsys):
         breaker(monkeypatch)
         assert cli.main(argv) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [["certify", "--instances", "0"], ["dot-test", "--size", "15"]])
-    def test_out_of_range_count_or_size_rejected(self, argv, capsys):
+    @pytest.mark.parametrize("argv", [["certify", "--seed", "1"], ["dot-test", "--size", "32"],
+                                      ["whiteness", "--seeds", "2"]])
+    def test_check_commands_take_no_options(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
             cli.main(argv)
         assert exited.value.code == 2
-        assert "must be at least" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "2,0", "2,2", "x"])
+    def test_bad_step_budgets_rejected_before_anything_runs(self, steps, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["sweep-nfe", "--steps", steps, "--out", str(out)])
+        assert exited.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_prints_means_to_3_decimals(self, tmp_path, monkeypatch, capsys):
+        rows = [_row(label, 0, value) for label, value in
+                zip(experiment.ABLATION_VARIANTS, (19.7071, 19.9, 20.1234, 20.1144))]
+        monkeypatch.setattr(experiment, "ablate", lambda cfg: rows)
+        assert cli.main(["ablate", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "mean psnr: hqs 19.707 | dual-only 20.123 | full 20.114\n" in out
+        assert "ordering full >= dual-only > hqs: FAIL" in out
 
     def test_run_command_with_config(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))

@@ -12,6 +12,7 @@ from dcpnp.priors import GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule,
 from dcpnp.solver import (
     SolverDivergence,
     SolverState,
+    SolverStepError,
     VariantSpec,
     certification_instance,
     certify_fixed_point,
@@ -210,6 +211,10 @@ class TestRunLoop:
             run(op, y, ExplodingDenoiser(), sched, VariantSpec(True, "none"),
                 CgConfig(20, 1e-10, 1e-2), ShConfig(), make_rng(14))
         assert len(err.value.trace) >= 1
+        # a SolverStepError, so a failed row's error.txt names the iteration
+        assert isinstance(err.value, SolverStepError)
+        assert err.value.k == err.value.trace.records[-1].k
+        assert str(err.value).startswith(f"iteration {err.value.k}: state ")
 
     def test_truthy_hook_ends_the_loop(self):
         op, truth, y = small_problem(13, n=16)
