@@ -10,8 +10,10 @@ Subcommands:
 
 `run`, `ablate` and `sweep-nfe` run their grids through
 `experiment.run_experiment`: one run directory per row, one `metrics.csv`
-with a status column per grid, and for `sweep-nfe` one grid per outer-step
-budget K, in `<out>/steps<K>`.
+with a status column per grid, and for `sweep-nfe` one grid of the
+memoryless baseline and the full method per outer-step budget K, in
+`<out>/steps<K>`. `run --variant` takes one of the six labels
+`dual=on|off,inject=sh|naive|none`, spelled in that order.
 
 The last three checks are implemented here and nowhere else, and each is one
 fixed check that takes no options: the acceptance suite runs the bare
@@ -31,7 +33,7 @@ from . import experiment
 from .experiment import default_config, load_config
 from .grid_core import make_rng
 from .operators import dot_test
-from .solver import certification_instance, certify_pair
+from .solver import VARIANT_LABELS, certification_instance, certify_pair
 from .spectral import whitening_statistics
 
 
@@ -163,7 +165,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory")
         p.add_argument("--task", choices=experiment.TASKS)
         if variant:
-            p.add_argument("--variant", help="e.g. dual=on,inject=sh")
+            p.add_argument("--variant", choices=VARIANT_LABELS, metavar="LABEL",
+                           help=f"run only this variant, one of: {'; '.join(VARIANT_LABELS)}")
 
     p_run = sub.add_parser("run", help="execute a config")
     common(p_run)

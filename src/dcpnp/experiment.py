@@ -103,8 +103,11 @@ class ExperimentConfig:
             VariantSpec.from_label(label)
         for build in (self.make_denoiser, self.schedule, self.cg_config, self.sh_config):
             build()  # a bad knob fails here, not in every row after the pool has forked
-        if self.task == "mri":  # builds its own phantom, so only the kind must exist
-            PhantomSpec(self.phantom)
+        if self.task == "mri":  # runs only its own complex Shepp-Logan, at any side
+            PhantomSpec(self.phantom)  # an unknown kind fails as it does for every task
+            if self.phantom != "shepp-logan":
+                raise ValueError("task mri runs only the shepp-logan phantom, "
+                                 f"got {self.phantom!r}")
         else:
             PhantomSpec(self.phantom, self.image_side)
 
@@ -302,7 +305,7 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int) -> MetricRow:
         )
         run_dir.mkdir(parents=True, exist_ok=True)
         save_grid(run_dir / "recon.dcpg", recon)
-        save_pgm(run_dir / "recon.pgm", recon, window=(-1.0, 1.0))
+        save_pgm(run_dir / "recon.pgm", recon)
         trace.write_csv(run_dir / "trace.csv")
         trace.write_spectral_csv(run_dir / "spectral.csv")
         write_config(run_dir / "config.resolved", cfg)
@@ -371,14 +374,14 @@ def mean_psnr(rows: list[MetricRow]) -> dict[str, float]:
     return {variant: float(np.mean(values)) for variant, values in by_variant.items()}
 
 
-def sweep_nfe(cfg: ExperimentConfig, step_counts=(10, 20, 30, 50, 100),
-              variants=(MEMORYLESS, FULL_METHOD)) -> dict[int, list[MetricRow]]:
-    """Compute-budget sweep: {K: rows} of the variants run at each outer-step
-    count K, each budget an ordinary experiment in `<out_dir>/steps{K}`. Every
-    budget's config is built, and so checked, before the first budget runs."""
+def sweep_nfe(cfg: ExperimentConfig, step_counts) -> dict[int, list[MetricRow]]:
+    """Compute-budget sweep: {K: rows} of the memoryless baseline and the full
+    method run at each outer-step count K, each budget an ordinary experiment
+    in `<out_dir>/steps{K}`. Every budget's config is built, and so checked,
+    before the first budget runs."""
     if len(set(step_counts)) < len(step_counts):
         raise ValueError(f"step_counts repeats a budget: {tuple(step_counts)}")
     out = Path(cfg.out_dir)
-    configs = {k: dataclasses.replace(cfg, steps=k, variants=tuple(variants),
+    configs = {k: dataclasses.replace(cfg, steps=k, variants=(MEMORYLESS, FULL_METHOD),
                                       out_dir=str(out / f"steps{k}")) for k in step_counts}
     return {k: run_experiment(budget_cfg) for k, budget_cfg in configs.items()}

@@ -164,20 +164,17 @@ def load_grid(path) -> np.ndarray:
                      "complex grid")
 
 
-def save_pgm(path, g: np.ndarray, window: tuple[float, float] | None = None) -> None:
-    """16-bit binary PGM export after windowing, for visual inspection.
+def save_pgm(path, g: np.ndarray) -> None:
+    """16-bit binary PGM export, for visual inspection.
 
-    `window` is the (low, high) intensity range mapped to [0, 65535];
-    defaults to the grid's own min/max. Complex grids export magnitudes.
+    The phantoms' intensity range [-1, 1] maps linearly onto [0, 65535];
+    values outside it are clipped. Complex grids export magnitudes.
     """
     g = np.asarray(g)
     _check_grid(g)
     if np.iscomplexobj(g):
         g = np.abs(g)
-    lo, hi = window if window is not None else (float(g.min()), float(g.max()))
-    if hi <= lo:
-        hi = lo + 1.0
-    scaled = np.clip((g - lo) / (hi - lo), 0.0, 1.0)
+    scaled = np.clip((g + 1.0) / 2.0, 0.0, 1.0)
     pixels = np.round(scaled * 65535.0).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{g.shape[1]} {g.shape[0]}\n65535\n".encode("ascii"))

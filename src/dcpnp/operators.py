@@ -62,13 +62,12 @@ class LinearOperator:
 class RadonGeometry:
     """Parallel-beam geometry: view angles in degrees plus a flat 1D detector.
 
-    The detector has `detector_bins` bins at `detector_pitch` pixels per bin,
-    centered on the rotation axis; it must cover the image diagonal.
+    The detector has `detector_bins` bins of one pixel each, centered on the
+    rotation axis; it must cover the image diagonal.
     """
 
     angles: np.ndarray
     detector_bins: int = 363
-    detector_pitch: float = 1.0
     image_side: int = 256
 
     def __post_init__(self):
@@ -82,11 +81,10 @@ class RadonGeometry:
             raise ValueError("angles must lie in [0, 180) degrees")
         if self.detector_bins < 1 or self.image_side < 1:
             raise ValueError("detector_bins and image_side must be positive")
-        diagonal = self.image_side * math.sqrt(2.0)
-        if self.detector_bins < diagonal / self.detector_pitch:
+        if self.detector_bins < self.image_side * math.sqrt(2.0):
             raise ValueError(
                 f"detector too narrow: {self.detector_bins} bins cannot cover a "
-                f"{self.image_side}px image diagonal at pitch {self.detector_pitch}"
+                f"{self.image_side}px image diagonal"
             )
 
     @property
@@ -94,10 +92,10 @@ class RadonGeometry:
         return len(self.angles)
 
 
-def _default_bins(image_side: int, pitch: float) -> int:
+def _default_bins(image_side: int) -> int:
     # 363 covers every image up to 256px; wider images get the smallest
     # odd bin count that still spans the diagonal.
-    needed = int(math.ceil(image_side * math.sqrt(2.0) / pitch))
+    needed = int(math.ceil(image_side * math.sqrt(2.0)))
     if needed <= 363:
         return 363
     return needed if needed % 2 == 1 else needed + 1
@@ -107,14 +105,13 @@ def make_sparse_view_geometry(
     n_views: int,
     image_side: int = 256,
     detector_bins: int | None = None,
-    detector_pitch: float = 1.0,
 ) -> RadonGeometry:
     """Uniform sparse-view geometry: angles k*(180/n_views), k = 0..n_views-1."""
     if n_views < 1:
         raise ValueError("n_views must be at least 1")
     angles = np.arange(n_views) * (180.0 / n_views)
-    bins = detector_bins if detector_bins is not None else _default_bins(image_side, detector_pitch)
-    return RadonGeometry(angles, bins, detector_pitch, image_side)
+    bins = detector_bins if detector_bins is not None else _default_bins(image_side)
+    return RadonGeometry(angles, bins, image_side)
 
 
 def make_limited_angle_geometry(
@@ -122,7 +119,6 @@ def make_limited_angle_geometry(
     max_angle: float,
     image_side: int = 256,
     detector_bins: int | None = None,
-    detector_pitch: float = 1.0,
 ) -> RadonGeometry:
     """Limited-angle geometry: n_views angles spanning [0, max_angle] inclusive."""
     if n_views < 1:
@@ -134,8 +130,8 @@ def make_limited_angle_geometry(
         angles = np.array([0.0])
     else:
         angles = np.linspace(0.0, max_angle, n_views)
-    bins = detector_bins if detector_bins is not None else _default_bins(image_side, detector_pitch)
-    return RadonGeometry(angles, bins, detector_pitch, image_side)
+    bins = detector_bins if detector_bins is not None else _default_bins(image_side)
+    return RadonGeometry(angles, bins, image_side)
 
 
 def _trapezoid_cdf(x: np.ndarray, ramp: float, plateau_half: float) -> np.ndarray:
@@ -161,12 +157,12 @@ def _trapezoid_cdf(x: np.ndarray, ramp: float, plateau_half: float) -> np.ndarra
     return out
 
 
-def _footprint(theta: float, pitch: float) -> tuple[float, float, int]:
+def _footprint(theta: float) -> tuple[float, float, int]:
     """A unit pixel's trapezoid footprint at angle `theta`: its half-support a,
     its plateau half-width c, and the most detector bins it can overlap."""
     w1, w2 = abs(math.cos(theta)), abs(math.sin(theta))
     a = (w1 + w2) / 2.0
-    return a, abs(w1 - w2) / 2.0, int(math.ceil(2.0 * a / pitch)) + 1
+    return a, abs(w1 - w2) / 2.0, int(math.ceil(2.0 * a)) + 1
 
 
 def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
@@ -188,7 +184,6 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     """
     side = geo.image_side
     n_bins = geo.detector_bins
-    pitch = geo.detector_pitch
     n_pixels = side * side
     n_rows = geo.n_views * n_bins
     center = (side - 1) / 2.0
@@ -199,7 +194,7 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     x = np.tile(coords, side)
 
     thetas = [math.radians(angle) for angle in geo.angles]
-    bound = n_pixels * sum(_footprint(theta, pitch)[2] for theta in thetas)
+    bound = n_pixels * sum(_footprint(theta)[2] for theta in thetas)
     idx_dtype = np.int32 if max(bound, n_rows, n_pixels) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
     indices = np.empty(bound, dtype=idx_dtype)
@@ -207,19 +202,19 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     view_indptr = np.empty(n_bins + 1, dtype=idx_dtype)
     nnz = 0
     for view, theta in enumerate(thetas):
-        a, plateau_half, n_touched = _footprint(theta, pitch)
+        a, plateau_half, n_touched = _footprint(theta)
         ramp = a - plateau_half
         s = x * math.cos(theta) + y * math.sin(theta)
-        first = np.floor((s - a) / pitch + (n_bins - 1) / 2.0 + 0.5).astype(np.int64)
+        first = np.floor(s - a + (n_bins - 1) / 2.0 + 0.5).astype(np.int64)
         # pixel-major: weights[p, j] is pixel p's weight on bin first[p] + j
         bins = first[:, None] + np.arange(n_touched)
         weights = np.empty(bins.shape)
         prev_cdf = None
         for offset in range(n_touched + 1):
-            edge = (first + offset - (n_bins - 1) / 2.0 - 0.5) * pitch - s  # left bin edge
+            edge = first + offset - (n_bins - 1) / 2.0 - 0.5 - s  # left bin edge
             cdf = _trapezoid_cdf(edge, ramp, plateau_half)
             if prev_cdf is not None:
-                weights[:, offset - 1] = (cdf - prev_cdf) / pitch
+                weights[:, offset - 1] = cdf - prev_cdf
             prev_cdf = cdf
         ok = (bins >= 0) & (bins < n_bins) & (weights > 1e-300)
         pixels = np.nonzero(ok)[0].astype(idx_dtype)
@@ -269,7 +264,6 @@ class RadonOperator(LinearOperator):
     """
 
     def __init__(self, geo: RadonGeometry):
-        self.geo = geo
         self.domain_shape = (geo.image_side, geo.image_side)
         self.range_shape = (geo.n_views, geo.detector_bins)
         self._fwd = _radon_matrix(geo)
@@ -297,15 +291,12 @@ class CartesianMask:
     """1D equidistant Cartesian line mask over k-space columns.
 
     `keep` flags the retained columns in unshifted DFT indexing; the DC
-    column (index 0) is always kept, plus `center_lines` low-frequency
-    columns around it.
+    column (index 0) is always kept.
     """
 
     height: int
     width: int
     keep: np.ndarray
-    af: int
-    center_lines: int
 
     def __post_init__(self):
         keep = np.asarray(self.keep, dtype=bool)
@@ -315,12 +306,8 @@ class CartesianMask:
         if not keep[0]:
             raise ValueError("DC column must be kept")
 
-    @property
-    def kept_fraction(self) -> float:
-        return float(np.count_nonzero(self.keep)) / self.width
 
-
-def make_cartesian_mask(h: int, w: int, af: int, center_lines: int = 16) -> CartesianMask:
+def make_cartesian_mask(h: int, w: int, af: int, center_lines: int) -> CartesianMask:
     """Equidistant mask: every af-th line plus a fully sampled central band.
 
     Constructed in centered (fftshift) coordinates so the equidistant comb
@@ -339,7 +326,7 @@ def make_cartesian_mask(h: int, w: int, af: int, center_lines: int = 16) -> Cart
     half_hi = center_lines - half_lo
     band = (cols >= center - half_lo) & (cols < center + half_hi)
     keep = np.fft.ifftshift(keep_shifted | band)
-    return CartesianMask(h, w, keep, af, center_lines)
+    return CartesianMask(h, w, keep)
 
 
 class FourierMaskOperator(LinearOperator):
@@ -413,10 +400,9 @@ class DenseOperator(LinearOperator):
 
 
 class IdentityOperator(LinearOperator):
-    def __init__(self, shape: tuple[int, int], is_complex: bool = False):
+    def __init__(self, shape: tuple[int, int]):
         self.domain_shape = shape
         self.range_shape = shape
-        self.is_complex = is_complex
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self._check_domain(x)

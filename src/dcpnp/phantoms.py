@@ -58,15 +58,15 @@ def _render_ellipses(side: int, table) -> np.ndarray:
     return img
 
 
-def shepp_logan(side: int = 128) -> np.ndarray:
+def shepp_logan(side: int) -> np.ndarray:
     """Head phantom mapped from raw [0, 1] onto [-1, 1] (background -1)."""
     return np.clip(2.0 * _render_ellipses(side, _HEAD_ELLIPSES) - 1.0, -1.0, 1.0)
 
 
-def random_ellipses(side: int, rng: np.random.Generator, n_ellipses: int = 8) -> np.ndarray:
-    """Seeded random overlapping ellipses inside a fixed body outline."""
+def random_ellipses(side: int, rng: np.random.Generator) -> np.ndarray:
+    """Eight seeded random overlapping ellipses inside a fixed body outline."""
     table = [(0.8, 0.75, 0.85, 0.0, 0.0, 0.0)]
-    for _ in range(n_ellipses):
+    for _ in range(8):
         table.append((
             float(rng.uniform(-0.4, 0.4)),
             float(rng.uniform(0.05, 0.35)),
@@ -96,7 +96,7 @@ def make_phantom(spec: PhantomSpec, rng: np.random.Generator | None = None) -> n
     return random_ellipses(spec.side, rng)
 
 
-def mri_phantom(side: int = 320) -> np.ndarray:
+def mri_phantom(side: int) -> np.ndarray:
     """Complex phantom: head-phantom magnitude with a smooth polynomial phase."""
     magnitude = np.clip(0.5 * (shepp_logan(side) + 1.0), 0.0, 1.0)
     xx, yy = _unit_coords(side)

@@ -31,6 +31,9 @@ from .spectral import ShConfig, SpectralReport, homogenize, naive_inject
 
 DIVERGENCE_LIMIT = 1e12
 
+# the certificates' base penalty and constant noise level
+CERTIFY_LAM, CERTIFY_SIGMA = 1.0, 0.5
+
 
 class SolverStepError(RuntimeError):
     """A sub-step failed; remembers the outer iteration index."""
@@ -38,7 +41,6 @@ class SolverStepError(RuntimeError):
     def __init__(self, k: int, original: Exception | str):
         super().__init__(f"iteration {k}: {original}")
         self.k = k
-        self.original = original
 
 
 class SolverDivergence(SolverStepError):
@@ -66,19 +68,16 @@ class VariantSpec:
 
     @classmethod
     def from_label(cls, label: str) -> "VariantSpec":
-        items = label.split(",")
-        if not all("=" in item for item in items):
-            raise ValueError(f"variant label {label!r} is not of the form key=value,...")
-        parts = dict(item.split("=", 1) for item in items)
-        if len(parts) != len(items):
-            raise ValueError(f"variant label {label!r} repeats a key")
-        unknown = set(parts) - {"dual", "inject"}
-        if unknown:
-            raise ValueError(f"unknown variant keys {sorted(unknown)}")
-        dual = parts.get("dual", "on")
-        if dual not in ("on", "off"):
-            raise ValueError(f"dual must be on or off, got {dual!r}")
-        return cls(dual_coupling=dual == "on", injection=parts.get("inject", "sh"))
+        """The variant whose `label` is `label`, one of `VARIANT_LABELS`."""
+        if label not in _VARIANTS:
+            raise ValueError(f"unknown variant {label!r}; the variants are "
+                             f"{'; '.join(VARIANT_LABELS)}")
+        return _VARIANTS[label]
+
+
+_VARIANTS = {v.label: v for v in (VariantSpec(dual, injection) for dual in (True, False)
+                                  for injection in ("sh", "naive", "none"))}
+VARIANT_LABELS = tuple(_VARIANTS)
 
 
 @dataclass
@@ -248,8 +247,6 @@ class FixedPointCertificate:
     closed-form biased fixed point.
     """
 
-    dual_coupling: bool
-    iterations: int
     converged: bool
     consensus: float
     stationarity: float
@@ -278,13 +275,12 @@ def certify_fixed_point(
     op: LinearOperator,
     y: np.ndarray,
     denoiser: GaussianPriorDenoiser,
-    lam: float,
-    sigma: float,
     dual_coupling: bool = True,
     tol: float = 1e-6,
     max_iters: int = 500,
 ) -> FixedPointCertificate:
-    """Run `run` at the constant noise level sigma to convergence and certify it.
+    """Run `run` at the constant noise level sigma = 0.5, with base penalty
+    lam = 1, to convergence and certify it.
 
     Requires the Gaussian-prior denoiser, whose proximal identity makes the
     effective objective  ||Ax-y||^2 + lam_eff ||x-mu0||^2  explicit with
@@ -293,8 +289,7 @@ def certify_fixed_point(
     """
     if not isinstance(denoiser, GaussianPriorDenoiser):
         raise ValueError("certification requires the gaussian-prior denoiser")
-    if lam <= 0 or sigma <= 0:
-        raise ValueError("lam and sigma must be positive for certification")
+    lam, sigma = CERTIFY_LAM, CERTIFY_SIGMA
     tau = denoiser.tau
     mu0 = np.broadcast_to(denoiser.mu0, op.domain_shape).astype(
         np.result_type(denoiser.mu0, np.float64))
@@ -320,10 +315,9 @@ def certify_fixed_point(
 
     # a constant schedule holds sigma fixed; run's penalty is cg.lam / sigma^2
     n = op.domain_shape[0] * op.domain_shape[1]
-    _, trace = run(op, y, denoiser, NoiseSchedule(sigma, sigma, max_iters),
-                   VariantSpec(dual_coupling, "none"),
-                   CgConfig(max(200, 10 * n), 1e-13, lam * sigma**2), ShConfig(), make_rng(0),
-                   on_iteration=stop)
+    run(op, y, denoiser, NoiseSchedule(sigma, sigma, max_iters),
+        VariantSpec(dual_coupling, "none"), CgConfig(max(200, 10 * n), 1e-13, lam * sigma**2),
+        ShConfig(), make_rng(0), on_iteration=stop)
     x, z, u = last.x, last.z, last.u
 
     grad_f = op.adjoint(op.apply(x) - y)
@@ -339,8 +333,6 @@ def certify_fixed_point(
         prediction_error = float(np.linalg.norm(x - predicted))
 
     return FixedPointCertificate(
-        dual_coupling=dual_coupling,
-        iterations=len(trace),
         converged=converged,
         consensus=consensus,
         stationarity=stationarity,
@@ -370,7 +362,7 @@ def certify_pair(
 ) -> tuple[FixedPointCertificate, FixedPointCertificate, float]:
     """Dual-on and dual-off certificates of one instance at lam = 1, sigma = 0.5,
     plus the dual-off bias over the dual-on error (how much the dual removes)."""
-    on, off = (certify_fixed_point(op, y, denoiser, lam=1.0, sigma=0.5, dual_coupling=dual,
-                                   tol=tol, max_iters=max_iters)
+    on, off = (certify_fixed_point(op, y, denoiser, dual_coupling=dual, tol=tol,
+                                   max_iters=max_iters)
                for dual in (True, False))
     return on, off, off.error_vs_optimum / max(on.error_vs_optimum, 1e-300)

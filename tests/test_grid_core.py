@@ -175,11 +175,19 @@ class TestSerialization:
             load_grid(path)
 
     def test_pgm_export(self, tmp_path):
+        # [-1, 1], the phantoms' range, maps linearly onto [0, 65535] and clips
+        # beyond it; a complex grid exports its magnitude
         path = tmp_path / "g.pgm"
-        save_pgm(path, make_rng(2).standard_normal((6, 8)), window=(-1, 1))
-        data = path.read_bytes()
-        assert data.startswith(b"P5\n8 6\n65535\n")
-        assert len(data) == len(b"P5\n8 6\n65535\n") + 2 * 48
+        for grid, want in (
+            ([[-1.0, 0.0, 1.0], [-2.0, 2.0, 0.5]], [[0, 32768, 65535], [0, 65535, 49151]]),
+            ([[-1.0 + 0j, 0.6 + 0.8j, 0.5j]], [[65535, 65535, 49151]]),
+        ):
+            save_pgm(path, np.array(grid))
+            h, w = np.shape(grid)
+            header = f"P5\n{w} {h}\n65535\n".encode("ascii")
+            data = path.read_bytes()
+            assert data.startswith(header)
+            assert np.frombuffer(data[len(header):], dtype=">u2").reshape(h, w).tolist() == want
 
 
 class TestForkJoin:

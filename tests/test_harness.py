@@ -1,7 +1,9 @@
+import configparser
 import dataclasses
 import hashlib
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -46,8 +48,8 @@ class TestPhantoms:
         assert set(values.tolist()) == {-0.25, 0.75}
 
     def test_random_ellipses_reproducible(self):
-        a = random_ellipses(64, make_rng(3), 6)
-        b = random_ellipses(64, make_rng(3), 6)
+        a = random_ellipses(64, make_rng(3))
+        b = random_ellipses(64, make_rng(3))
         assert np.array_equal(a, b)
         assert a.min() >= -1.0 and a.max() <= 1.0
 
@@ -182,8 +184,9 @@ class TestConfig:
         assert cfg.cg_iters == 100  # lact task defaults applied
 
     def test_bad_variant_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_config(Path("/tmp"), variants=("dual=sideways,inject=sh",))
+        for label in ("dual=sideways,inject=sh", "inject=none"):
+            with pytest.raises(ValueError, match="unknown variant"):
+                tiny_config(Path("/tmp"), variants=(label,))
 
     def test_bad_task_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +216,22 @@ class TestConfig:
                 ExperimentConfig(task=task, phantom="bogus")
         # MRI builds its own phantom, so the CT phantom's minimum side does not apply
         assert ExperimentConfig(task="mri", image_side=8).image_side == 8
+
+    @pytest.mark.parametrize("kind", ["flat-disk", "random-ellipses"])
+    def test_mri_runs_only_its_own_phantom(self, kind):
+        with pytest.raises(ValueError, match="task mri runs only the shepp-logan phantom"):
+            ExperimentConfig(task="mri", phantom=kind)
+
+    def test_readme_lists_the_config_keys(self, tmp_path):
+        # README's key list against `config.resolved`, section by section, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listing = readme.split("`config.resolved` writes them under:\n", 1)[1]
+        bullets = re.findall(r"^- `\[(\w+)\]`:(.*?)(?=^- |\n\n)", listing, re.M | re.S)
+        documented = [(section, re.findall(r"`(\w+)`", keys)) for section, keys in bullets]
+        write_config(tmp_path / "config.resolved", default_config())
+        parser = configparser.ConfigParser()
+        parser.read(tmp_path / "config.resolved")
+        assert documented == [(section, list(parser[section])) for section in parser.sections()]
 
 
 class TestRunExperiment:
@@ -325,13 +344,15 @@ class TestRunExperiment:
 
     def test_sweep_nfe_shape(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(0,))
-        results = sweep_nfe(cfg, step_counts=(2, 3), variants=("dual=on,inject=sh",))
+        results = sweep_nfe(cfg, step_counts=(2, 3))
         assert list(results) == [2, 3]
         for k, rows in results.items():
-            assert [(r.variant, r.status) for r in rows] == [("dual=on,inject=sh", "ok")]
+            assert [(r.variant, r.status) for r in rows] == [(experiment.MEMORYLESS, "ok"),
+                                                              (experiment.FULL_METHOD, "ok")]
             out = Path(cfg.out_dir) / f"steps{k}"
             assert f"\nsteps = {k}\n" in (out / "config.resolved").read_text()
-            assert (out / "metrics.csv").read_text().splitlines()[1].endswith(",ok")
+            assert all(line.endswith(",ok")
+                       for line in (out / "metrics.csv").read_text().splitlines()[1:])
             assert (out / "svct_dual-on_inject-sh_seed0" / "trace.csv").exists()
 
 
@@ -526,6 +547,16 @@ class TestCli:
         assert exited.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["inject=none", "dual=maybe"])
+    def test_bad_variant_rejected_before_anything_runs(self, label, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--variant", label])
+        assert exited.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_ablate_prints_means_to_3_decimals(self, tmp_path, monkeypatch, capsys):
         rows = [_row(label, 0, value) for label, value in

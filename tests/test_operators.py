@@ -169,7 +169,7 @@ def _coo_radon_matrix(geo):
     Returns the matrix and the number of candidate entries that fell off the
     detector.
     """
-    side, n_bins, pitch = geo.image_side, geo.detector_bins, geo.detector_pitch
+    side, n_bins = geo.image_side, geo.detector_bins
     coords = np.arange(side) - (side - 1) / 2.0
     y = np.repeat(-coords, side)
     x = np.tile(coords, side)
@@ -183,15 +183,15 @@ def _coo_radon_matrix(geo):
         plateau_half = abs(w1 - w2) / 2.0
         ramp = a - plateau_half
         s = x * math.cos(theta) + y * math.sin(theta)
-        first = np.floor((s - a) / pitch + (n_bins - 1) / 2.0 + 0.5).astype(np.int64)
-        n_touched = int(math.ceil(2.0 * a / pitch)) + 1
+        first = np.floor(s - a + (n_bins - 1) / 2.0 + 0.5).astype(np.int64)
+        n_touched = int(math.ceil(2.0 * a)) + 1
         prev_cdf = None
         for offset in range(n_touched + 1):
             b = first + offset
-            edge = (b - (n_bins - 1) / 2.0 - 0.5) * pitch - s
+            edge = b - (n_bins - 1) / 2.0 - 0.5 - s
             cdf = operators._trapezoid_cdf(edge, ramp, plateau_half)
             if prev_cdf is not None:
-                weight = (cdf - prev_cdf) / pitch
+                weight = cdf - prev_cdf
                 bin_idx = b - 1
                 on_detector = (bin_idx >= 0) & (bin_idx < n_bins)
                 off_detector += int(np.count_nonzero(~on_detector))
@@ -225,12 +225,9 @@ class TestViewByViewAssembly:
     GEOMETRIES = {
         "sparse-view": lambda: make_sparse_view_geometry(8, 32),
         "limited-angle-odd": lambda: make_limited_angle_geometry(12, 90.0, 33),
-        "pitch-0.7": lambda: make_sparse_view_geometry(7, 32, detector_pitch=0.7),
-        "pitch-1.5": lambda: make_limited_angle_geometry(9, 120.0, 32, detector_pitch=1.5),
-        "axis-aligned": lambda: RadonGeometry(np.array([0.0, 90.0]), 47, 1.0, 32),
+        "axis-aligned": lambda: RadonGeometry(np.array([0.0, 90.0]), 47, 32),
         "one-view": lambda: make_sparse_view_geometry(1, 32),
-        "just-covering": lambda: RadonGeometry(np.array([0.0, 30.0, 45.0, 60.0, 135.0]), 46,
-                                               1.0, 32),
+        "just-covering": lambda: RadonGeometry(np.array([0.0, 30.0, 45.0, 60.0, 135.0]), 46, 32),
     }
 
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
@@ -355,7 +352,7 @@ class TestCartesianMask:
 
     def test_reference_fraction(self):
         mask = make_cartesian_mask(320, 320, 10, 16)
-        assert 0.10 <= mask.kept_fraction <= 0.15
+        assert 0.10 <= mask.keep.mean() <= 0.15
 
     def test_dc_always_kept(self):
         for af in (2, 4, 6, 10):

@@ -45,18 +45,18 @@ def mri_certification_instance(side, complex_mean, seed=3):
 
 class TestVariantSpec:
     def test_labels_round_trip(self):
-        for dual in (True, False):
-            for inject in ("sh", "naive", "none"):
-                v = VariantSpec(dual, inject)
-                assert VariantSpec.from_label(v.label) == v
+        specs = [VariantSpec(dual, inject) for dual in (True, False)
+                 for inject in ("sh", "naive", "none")]
+        assert solver.VARIANT_LABELS == tuple(v.label for v in specs)
+        for v in specs:
+            assert VariantSpec.from_label(v.label) == v
 
     def test_bad_labels_rejected(self):
+        # partial or reordered spellings of a real variant are rejected too
         for label in ("dual=maybe,inject=sh", "dual=on,inject=blur", "dual=on,foo=1",
-                      "dual=on,dual=off,inject=none"):
-            with pytest.raises(ValueError):
-                VariantSpec.from_label(label)
-        for label in ("dual", "", "dual=on,"):
-            with pytest.raises(ValueError, match=f"{label!r} is not of the form key=value"):
+                      "dual=on,dual=off,inject=none", "dual", "", "dual=on,", "dual=off",
+                      "inject=none", "inject=none,dual=on", "dual=on, inject=sh"):
+            with pytest.raises(ValueError, match=f"unknown variant {label!r}"):
                 VariantSpec.from_label(label)
 
 
@@ -262,7 +262,7 @@ class TestCertifyFixedPoint:
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_on_reaches_optimum(self, seed):
         op, y, den = certification_instance(seed)
-        cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
+        cert = certify_fixed_point(op, y, den, dual_coupling=True)
         assert cert.converged
         assert cert.consensus < 1e-6
         assert cert.stationarity < 1e-6
@@ -271,8 +271,8 @@ class TestCertifyFixedPoint:
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_off_biased_but_predictable(self, seed):
         op, y, den = certification_instance(seed)
-        on = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
-        off = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=False)
+        on = certify_fixed_point(op, y, den, dual_coupling=True)
+        off = certify_fixed_point(op, y, den, dual_coupling=False)
         assert off.converged
         assert off.prediction_error is not None and off.prediction_error < 1e-6
         assert off.error_vs_optimum > 10 * max(on.error_vs_optimum, 1e-12)
@@ -283,15 +283,15 @@ class TestCertifyFixedPoint:
         mu0 = make_rng(1).standard_normal((n, 1))
         y = mu0.copy()
         den = GaussianPriorDenoiser(mu0, tau=1.0)
-        on = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
-        off = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=False)
+        on = certify_fixed_point(op, y, den, dual_coupling=True)
+        off = certify_fixed_point(op, y, den, dual_coupling=False)
         assert np.max(np.abs(on.x - mu0)) < 1e-6
         assert np.max(np.abs(off.x - mu0)) < 1e-6
         assert on.error_vs_optimum < 1e-6 and off.error_vs_optimum < 1e-6
 
     def test_dual_balance_at_fixed_point(self):
         op, y, den = certification_instance(7)
-        cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
+        cert = certify_fixed_point(op, y, den, dual_coupling=True)
         # gradient of the data term balanced by the scaled dual
         x0 = np.zeros(op.domain_shape)
         grad0 = np.linalg.norm(op.adjoint(op.apply(x0) - y))
@@ -299,15 +299,14 @@ class TestCertifyFixedPoint:
 
     def test_inconclusive_marked(self):
         op, y, den = certification_instance(9)
-        cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5,
-                                   dual_coupling=True, max_iters=2)
+        cert = certify_fixed_point(op, y, den, dual_coupling=True, max_iters=2)
         assert not cert.converged
 
     def test_certifies_the_shipped_loop(self, monkeypatch):
         # a loop whose dual never accumulates must not pass the dual-on certificate
         monkeypatch.setattr(solver, "dual_update", lambda state: state)
         op, y, den = certification_instance(0)
-        cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
+        cert = certify_fixed_point(op, y, den, dual_coupling=True)
         assert not cert.converged
         assert cert.consensus > 1e-6
 
@@ -315,7 +314,7 @@ class TestCertifyFixedPoint:
         op, y, den = mri_certification_instance(32, complex_mean=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            cert = certify_fixed_point(op, y, den, lam=1.0, sigma=0.5, dual_coupling=True)
+            cert = certify_fixed_point(op, y, den, dual_coupling=True)
         assert cert.converged
         assert cert.stationarity < 1e-6
         assert cert.error_vs_optimum < 1e-5
@@ -333,4 +332,4 @@ class TestCertifyFixedPoint:
     def test_requires_gaussian_denoiser(self):
         op, y, _ = certification_instance(10)
         with pytest.raises(ValueError):
-            certify_fixed_point(op, y, TvProxDenoiser(), lam=1.0, sigma=0.5)
+            certify_fixed_point(op, y, TvProxDenoiser())
