@@ -44,10 +44,10 @@ TASKS = ("svct", "lact", "mri")
 
 # the ablation's roles: the memoryless baseline, dual coupling alone, and the
 # full method (dual coupling plus spectral homogenization)
-MEMORYLESS = "dual=off,inject=none"
-DUAL_ONLY = "dual=on,inject=none"
-FULL_METHOD = "dual=on,inject=sh"
-ABLATION_VARIANTS = (MEMORYLESS, "dual=off,inject=sh", DUAL_ONLY, FULL_METHOD)
+MEMORYLESS = VariantSpec(False, "none").label
+DUAL_ONLY = VariantSpec(True, "none").label
+FULL_METHOD = VariantSpec(True, "sh").label
+ABLATION_VARIANTS = (MEMORYLESS, VariantSpec(False, "sh").label, DUAL_ONLY, FULL_METHOD)
 
 
 @dataclass(frozen=True)

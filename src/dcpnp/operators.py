@@ -126,10 +126,7 @@ def make_limited_angle_geometry(
     if not 0.0 < max_angle < 180.0:
         raise ValueError("max_angle must lie in (0, 180): a view at 180 degrees "
                          "would repeat the view at 0")
-    if n_views == 1:
-        angles = np.array([0.0])
-    else:
-        angles = np.linspace(0.0, max_angle, n_views)
+    angles = np.linspace(0.0, max_angle, n_views)
     bins = detector_bins if detector_bins is not None else _default_bins(image_side)
     return RadonGeometry(angles, bins, image_side)
 

@@ -74,8 +74,9 @@ class Denoiser:
         out = self._denoise(np.asarray(v), float(sigma), int(t))
         if out.shape != np.shape(v):
             raise DenoiserError(f"denoiser changed grid shape {np.shape(v)} -> {out.shape}")
-        if np.iscomplexobj(v) and not np.iscomplexobj(out):
-            raise DenoiserError("denoiser returned a real grid for a complex input")
+        if np.iscomplexobj(out) != np.iscomplexobj(v):
+            got, given = ("real", "complex") if np.iscomplexobj(v) else ("complex", "real")
+            raise DenoiserError(f"denoiser returned a {got} grid for a {given} input")
         if not np.isfinite(out).all():
             raise DenoiserError(f"{self.kind} denoiser returned non-finite values")
         return out

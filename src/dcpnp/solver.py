@@ -275,9 +275,9 @@ def certify_fixed_point(
     op: LinearOperator,
     y: np.ndarray,
     denoiser: GaussianPriorDenoiser,
-    dual_coupling: bool = True,
-    tol: float = 1e-6,
-    max_iters: int = 500,
+    dual_coupling: bool,
+    tol: float,
+    max_iters: int,
 ) -> FixedPointCertificate:
     """Run `run` at the constant noise level sigma = 0.5, with base penalty
     lam = 1, to convergence and certify it.

@@ -252,13 +252,21 @@ def test_only_grid_core_uses_the_pool():
     assert calls == []
 
 
+def test_grid_core_imports_alone():
+    """A handshake script (`ExternalDenoiser`) imports `dcpnp.grid_core` in a
+    fresh process on every call, so that import loads no scipy and no other
+    module of the package."""
+    code = ("import sys, dcpnp.grid_core\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('dcpnp', 'scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['dcpnp', 'dcpnp.grid_core']"
+
+
 def test_no_unused_imports():
     """No linter runs on the package, so an import its module no longer uses
-    is caught here (`__init__.py` imports to re-export)."""
+    is caught here."""
     unused = []
     for path in sorted(Path(grid_core.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):

@@ -46,6 +46,9 @@ class TestGeometries:
         assert len(geo.angles) == 90
         assert geo.angles[0] == 0.0 and geo.angles[-1] == 90.0
 
+    def test_limited_angle_single(self):
+        assert make_limited_angle_geometry(1, 90.0, 16).angles.tolist() == [0.0]
+
     def test_limited_angle_two_views(self):
         assert make_limited_angle_geometry(2, 90.0, 64).angles.tolist() == [0.0, 90.0]
 

@@ -454,6 +454,14 @@ class TestDenoiseContract:
         with pytest.raises(DenoiserError, match="real grid for a complex input"):
             DropsImaginary().denoise(v, 1.0)
 
+    def test_complex_output_for_real_input_rejected(self):
+        class AddsImaginary(Denoiser):
+            def _denoise(self, v, sigma, t):
+                return v + 1e-3j
+
+        with pytest.raises(DenoiserError, match="complex grid for a real input"):
+            AddsImaginary().denoise(np.ones((4, 4)), 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_output_rejected(self, bad):
         class Diverges(Denoiser):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcpnp import solver
+from dcpnp.cli import CERTIFY_MAX_ITERS, CERTIFY_TOL
 from dcpnp.experiment import build_operator, build_phantom, default_config, simulate_measurements
 from dcpnp.fidelity import CgConfig, prox_data_consistency
 from dcpnp.grid_core import make_rng
@@ -262,7 +263,7 @@ class TestCertifyFixedPoint:
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_on_reaches_optimum(self, seed):
         op, y, den = certification_instance(seed)
-        cert = certify_fixed_point(op, y, den, dual_coupling=True)
+        cert = certify_fixed_point(op, y, den, True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
         assert cert.converged
         assert cert.consensus < 1e-6
         assert cert.stationarity < 1e-6
@@ -271,8 +272,8 @@ class TestCertifyFixedPoint:
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_off_biased_but_predictable(self, seed):
         op, y, den = certification_instance(seed)
-        on = certify_fixed_point(op, y, den, dual_coupling=True)
-        off = certify_fixed_point(op, y, den, dual_coupling=False)
+        on = certify_fixed_point(op, y, den, True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
+        off = certify_fixed_point(op, y, den, False, CERTIFY_TOL, CERTIFY_MAX_ITERS)
         assert off.converged
         assert off.prediction_error is not None and off.prediction_error < 1e-6
         assert off.error_vs_optimum > 10 * max(on.error_vs_optimum, 1e-12)
@@ -283,15 +284,15 @@ class TestCertifyFixedPoint:
         mu0 = make_rng(1).standard_normal((n, 1))
         y = mu0.copy()
         den = GaussianPriorDenoiser(mu0, tau=1.0)
-        on = certify_fixed_point(op, y, den, dual_coupling=True)
-        off = certify_fixed_point(op, y, den, dual_coupling=False)
+        on = certify_fixed_point(op, y, den, True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
+        off = certify_fixed_point(op, y, den, False, CERTIFY_TOL, CERTIFY_MAX_ITERS)
         assert np.max(np.abs(on.x - mu0)) < 1e-6
         assert np.max(np.abs(off.x - mu0)) < 1e-6
         assert on.error_vs_optimum < 1e-6 and off.error_vs_optimum < 1e-6
 
     def test_dual_balance_at_fixed_point(self):
         op, y, den = certification_instance(7)
-        cert = certify_fixed_point(op, y, den, dual_coupling=True)
+        cert = certify_fixed_point(op, y, den, True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
         # gradient of the data term balanced by the scaled dual
         x0 = np.zeros(op.domain_shape)
         grad0 = np.linalg.norm(op.adjoint(op.apply(x0) - y))
@@ -299,14 +300,14 @@ class TestCertifyFixedPoint:
 
     def test_inconclusive_marked(self):
         op, y, den = certification_instance(9)
-        cert = certify_fixed_point(op, y, den, dual_coupling=True, max_iters=2)
+        cert = certify_fixed_point(op, y, den, True, CERTIFY_TOL, 2)
         assert not cert.converged
 
     def test_certifies_the_shipped_loop(self, monkeypatch):
         # a loop whose dual never accumulates must not pass the dual-on certificate
         monkeypatch.setattr(solver, "dual_update", lambda state: state)
         op, y, den = certification_instance(0)
-        cert = certify_fixed_point(op, y, den, dual_coupling=True)
+        cert = certify_fixed_point(op, y, den, True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
         assert not cert.converged
         assert cert.consensus > 1e-6
 
@@ -314,7 +315,7 @@ class TestCertifyFixedPoint:
         op, y, den = mri_certification_instance(32, complex_mean=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            cert = certify_fixed_point(op, y, den, dual_coupling=True)
+            cert = certify_fixed_point(op, y, den, True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
         assert cert.converged
         assert cert.stationarity < 1e-6
         assert cert.error_vs_optimum < 1e-5
@@ -322,9 +323,9 @@ class TestCertifyFixedPoint:
     @pytest.mark.parametrize("complex_mean", [False, True])
     def test_mri_fixed_point(self, complex_mean):
         # the exact data manifold on the paper's own forward model
-        tol = 1e-6
+        tol = CERTIFY_TOL
         op, y, den = mri_certification_instance(64, complex_mean)
-        on, off, ratio = certify_pair(op, y, den, tol, 500)
+        on, off, ratio = certify_pair(op, y, den, tol, CERTIFY_MAX_ITERS)
         assert on.converged and on.consensus < tol and on.stationarity < tol
         assert off.converged and off.prediction_error < tol
         assert ratio >= 10
@@ -332,4 +333,4 @@ class TestCertifyFixedPoint:
     def test_requires_gaussian_denoiser(self):
         op, y, _ = certification_instance(10)
         with pytest.raises(ValueError):
-            certify_fixed_point(op, y, TvProxDenoiser())
+            certify_fixed_point(op, y, TvProxDenoiser(), True, CERTIFY_TOL, CERTIFY_MAX_ITERS)
