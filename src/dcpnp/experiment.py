@@ -1,7 +1,8 @@
 """Experiment configuration, measurement simulation, and the benchmark runner.
 
 A config fully determines a grid of (task, variant, seed) rows. Each row
-simulates measurements from a phantom, runs the solver, scores the
+simulates measurements from its task's phantom (Shepp-Logan for CT, the
+complex MRI phantom for mri), runs the solver, scores the
 reconstruction, and writes its artifacts into its own directory. Rows are
 independent and may execute in a worker pool; aggregation happens after all
 rows finish, in a fixed order, so outputs are byte-reproducible for a given
@@ -34,7 +35,7 @@ from .operators import (
     make_limited_angle_geometry,
     make_sparse_view_geometry,
 )
-from .phantoms import PhantomSpec, make_phantom, mri_phantom
+from .phantoms import mri_phantom, shepp_logan
 from .priors import Denoiser, GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
 from .reductions import norm
 from .solver import SolverStepError, VariantSpec, run
@@ -49,20 +50,24 @@ DUAL_ONLY = VariantSpec(True, "none").label
 FULL_METHOD = VariantSpec(True, "sh").label
 ABLATION_VARIANTS = (MEMORYLESS, VariantSpec(False, "sh").label, DUAL_ONLY, FULL_METHOD)
 
+# the one MRI mask: every MRI_AF-th k-space column plus MRI_CENTER_LINES
+# central ones
+MRI_AF, MRI_CENTER_LINES = 6, 16
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Benchmark configuration. The field defaults are the svct reference
-    setup: 20 uniform views, 363 detector bins at 256px, 50 outer steps, and
-    equidistant Cartesian AF-6 masking if the task is mri. The other tasks'
-    reference settings (lact: 90 views over [0, 90], CG budget 100; mri:
-    320px) are `_TASK_DEFAULTS`, which only `default_config` and
-    `load_config` apply: `ExperimentConfig(task="lact")` keeps 20 views and
-    CG budget 20, and `task="mri"` keeps 256px."""
+    setup: 20 uniform views, 363 detector bins at 256px and 50 outer steps.
+    Each task renders one phantom, and mri always masks with `MRI_AF` and
+    `MRI_CENTER_LINES`. The other tasks' reference settings (lact: 90 views
+    over [0, 90], CG budget 100; mri: 320px) are `_TASK_DEFAULTS`, which
+    only `default_config` and `load_config` apply:
+    `ExperimentConfig(task="lact")` keeps 20 views and CG budget 20, and
+    `task="mri"` keeps 256px."""
 
     # experiment
     task: str = "svct"
-    phantom: str = "shepp-logan"
     image_side: int = 256
     measurement_noise_std: float = 0.0
     variants: tuple[str, ...] = (FULL_METHOD,)
@@ -74,9 +79,6 @@ class ExperimentConfig:
     n_views: int = 20
     max_angle: float = 90.0
     detector_bins: int = 0  # 0 -> derived default (363 up to 256px)
-    # mri geometry
-    af: int = 6
-    center_lines: int = 16
     # schedule
     steps: int = 50
     sigma_max: float = 1.0
@@ -95,21 +97,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.image_side < 16:  # SSIM's 11x11 window needs room
+            raise ValueError(f"image_side must be at least 16, got {self.image_side}")
+        if self.measurement_noise_std < 0:
+            raise ValueError("measurement_noise_std must be non-negative, "
+                             f"got {self.measurement_noise_std}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
         if not self.variants:
             raise ValueError("at least one variant is required")
+        # a repeated row would write the same run directory twice
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds repeats a seed: {self.seeds}")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants repeats a variant: {self.variants}")
         for label in self.variants:
             VariantSpec.from_label(label)
         for build in (self.make_denoiser, self.schedule, self.cg_config, self.sh_config):
             build()  # a bad knob fails here, not in every row after the pool has forked
-        if self.task == "mri":  # runs only its own complex Shepp-Logan, at any side
-            PhantomSpec(self.phantom)  # an unknown kind fails as it does for every task
-            if self.phantom != "shepp-logan":
-                raise ValueError("task mri runs only the shepp-logan phantom, "
-                                 f"got {self.phantom!r}")
-        else:
-            PhantomSpec(self.phantom, self.image_side)
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_max, self.sigma_min, self.steps, self.spacing)
@@ -231,15 +238,13 @@ def build_operator(cfg: ExperimentConfig) -> LinearOperator:
     if cfg.task == "lact":
         geo = make_limited_angle_geometry(cfg.n_views, cfg.max_angle, cfg.image_side, bins)
         return RadonOperator(geo)
-    mask = make_cartesian_mask(cfg.image_side, cfg.image_side, cfg.af, cfg.center_lines)
+    mask = make_cartesian_mask(cfg.image_side, cfg.image_side, MRI_AF, MRI_CENTER_LINES)
     return FourierMaskOperator(mask)
 
 
 def build_phantom(cfg: ExperimentConfig, seed: int) -> np.ndarray:
-    if cfg.task == "mri":
-        return mri_phantom(cfg.image_side)
-    spec = PhantomSpec(kind=cfg.phantom, side=cfg.image_side)
-    return make_phantom(spec, _rng_for(seed, 1))
+    """The task's ground truth; every seed renders the same one."""
+    return mri_phantom(cfg.image_side) if cfg.task == "mri" else shepp_logan(cfg.image_side)
 
 
 def simulate_measurements(op: LinearOperator, truth: np.ndarray, cfg: ExperimentConfig,
@@ -273,8 +278,7 @@ _OPERATOR_CACHE: dict = {}
 
 
 def _cached_operator(cfg: ExperimentConfig) -> LinearOperator:
-    key = (cfg.task, cfg.image_side, cfg.n_views, cfg.max_angle, cfg.detector_bins, cfg.af,
-           cfg.center_lines)
+    key = (cfg.task, cfg.image_side, cfg.n_views, cfg.max_angle, cfg.detector_bins)
     if key not in _OPERATOR_CACHE:
         _OPERATOR_CACHE.clear()  # keep at most one matrix resident
         _OPERATOR_CACHE[key] = build_operator(cfg)

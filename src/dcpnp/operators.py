@@ -2,8 +2,8 @@
 
 Two measurement families are shipped: a parallel-beam Radon transform
 (sparse-view and limited-angle CT) and a masked unitary Fourier encoding
-(accelerated single-coil MRI), plus dense and identity operators used by
-tests and fixed-point certification. Every operator satisfies the adjoint
+(accelerated single-coil MRI), plus a dense operator used by tests and
+fixed-point certification. Every operator satisfies the adjoint
 dot-test to near machine precision because the adjoint is the literal
 transpose of the discretized forward map, never an independent
 discretization.
@@ -394,20 +394,6 @@ class DenseOperator(LinearOperator):
         y = np.asarray(y, dtype=np.float64)
         self._check_range(y)
         return self.matrix.T @ y
-
-
-class IdentityOperator(LinearOperator):
-    def __init__(self, shape: tuple[int, int]):
-        self.domain_shape = shape
-        self.range_shape = shape
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        self._check_domain(x)
-        return np.array(x, copy=True)
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        self._check_range(y)
-        return np.array(y, copy=True)
 
 
 def dot_test(op: LinearOperator, rng: np.random.Generator) -> float:

@@ -1,13 +1,13 @@
-"""Synthetic test objects on the [-1, 1] intensity convention.
+"""The two ground truths, one per forward-model family, on the [-1, 1]
+intensity convention.
 
-The background maps to -1 and the brightest tissue to at most +1. The MRI
-phantom is complex-valued: a magnitude image modulated by a smooth
-low-order polynomial phase, standing in for single-coil k-space data.
+The background maps to -1 and the brightest tissue to at most +1. CT
+renders the Shepp-Logan head phantom. The MRI phantom is complex-valued:
+its magnitude modulated by a smooth low-order polynomial phase, standing in
+for single-coil k-space data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +25,6 @@ _HEAD_ELLIPSES = (
     (0.10, 0.0230, 0.0230, 0.00, -0.6060, 0.0),
     (0.10, 0.0230, 0.0460, 0.06, -0.6050, 0.0),
 )
-
-
-@dataclass(frozen=True)
-class PhantomSpec:
-    kind: str = "shepp-logan"  # "shepp-logan" | "random-ellipses" | "flat-disk"
-    side: int = 128
-
-    def __post_init__(self):
-        if self.kind not in ("shepp-logan", "random-ellipses", "flat-disk"):
-            raise ValueError(f"unknown phantom kind {self.kind!r}")
-        if self.side < 16:
-            raise ValueError("phantom side must be at least 16")
 
 
 def _unit_coords(side: int):
@@ -61,39 +49,6 @@ def _render_ellipses(side: int, table) -> np.ndarray:
 def shepp_logan(side: int) -> np.ndarray:
     """Head phantom mapped from raw [0, 1] onto [-1, 1] (background -1)."""
     return np.clip(2.0 * _render_ellipses(side, _HEAD_ELLIPSES) - 1.0, -1.0, 1.0)
-
-
-def random_ellipses(side: int, rng: np.random.Generator) -> np.ndarray:
-    """Eight seeded random overlapping ellipses inside a fixed body outline."""
-    table = [(0.8, 0.75, 0.85, 0.0, 0.0, 0.0)]
-    for _ in range(8):
-        table.append((
-            float(rng.uniform(-0.4, 0.4)),
-            float(rng.uniform(0.05, 0.35)),
-            float(rng.uniform(0.05, 0.35)),
-            float(rng.uniform(-0.45, 0.45)),
-            float(rng.uniform(-0.45, 0.45)),
-            float(rng.uniform(0.0, 180.0)),
-        ))
-    return np.clip(2.0 * _render_ellipses(side, table) - 1.0, -1.0, 1.0)
-
-
-def flat_disk(side: int, radius: float = 0.6, inside: float = 1.0, outside: float = -1.0) -> np.ndarray:
-    """Constant disk on a constant background; radius is a fraction of the half-side."""
-    xx, yy = _unit_coords(side)
-    img = np.full((side, side), float(outside))
-    img[xx**2 + yy**2 <= radius**2] = float(inside)
-    return img
-
-
-def make_phantom(spec: PhantomSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    if spec.kind == "shepp-logan":
-        return shepp_logan(spec.side)
-    if spec.kind == "flat-disk":
-        return flat_disk(spec.side)
-    if rng is None:
-        raise ValueError("random-ellipses needs an rng")
-    return random_ellipses(spec.side, rng)
 
 
 def mri_phantom(side: int) -> np.ndarray:

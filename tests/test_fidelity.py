@@ -6,11 +6,11 @@ from dcpnp.grid_core import make_rng
 from dcpnp.operators import (
     DenseOperator,
     FourierMaskOperator,
-    IdentityOperator,
     RadonOperator,
     make_cartesian_mask,
     make_sparse_view_geometry,
 )
+from helpers import IdentityOperator
 
 
 def dense_instance(seed, m=12, n=12):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import os
 import re
 import struct
@@ -280,31 +281,61 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _loads(node):
+    """Every name `node` loads, bare or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def _definitions(tree):
+    """(statement, names it defines) for each module-level def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield node, [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_no_dead_private_names():
     """A module-level `_name` (function, class or constant) that nothing in
     the package loads is dead code: its last caller went and it stayed."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(grid_core.__file__).parent.glob("*.py"))}
-    loaded = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    dead = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            dead += [f"{name}:{node.lineno} {d}" for d in defined
-                     if d.startswith("_") and not d.startswith("__") and d not in loaded]
+    loaded = {name for tree in trees.values() for name in _loads(tree)}
+    dead = [f"{name}:{node.lineno} {d}" for name, tree in trees.items()
+            for node, defined in _definitions(tree) for d in defined
+            if d.startswith("_") and not d.startswith("__") and d not in loaded]
     assert dead == []
+
+
+# public names that nothing in the package or the benchmark loads, and why they stay
+_PUBLIC_API_FOR_OUTSIDE_CALLERS = {
+    "ExternalDenoiser",  # README's plug-in API for a denoiser in another process
+    "tweedie_consistency_check",  # the acceptance suite's Tweedie criterion (ROADMAP item 2)
+}
+
+
+def test_no_test_only_public_api():
+    """Every public module-level name of the package is loaded somewhere in
+    the package or the benchmark besides its own definition: a name that
+    only tests use belongs in the tests."""
+    package = Path(grid_core.__file__).parent
+    benchmark = Path(__file__).resolve().parents[1] / "perfbench"
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py")) + sorted(benchmark.glob("*.py"))}
+    loaded = collections.Counter(name for tree in trees.values() for name in _loads(tree))
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for node, defined in _definitions(trees[path]):
+            own = collections.Counter(_loads(node))
+            unused += [f"{path.name}:{node.lineno} {d}" for d in defined
+                       if not d.startswith("_") and d not in _PUBLIC_API_FOR_OUTSIDE_CALLERS
+                       and loaded[d] == own[d]]
+    assert unused == []
 
 
 def test_acceptance_criteria_run_the_check_commands():
@@ -364,8 +395,7 @@ class TestChannelDrawOrder:
         assert self._same_bits(state.z, self._twin_draws(make_rng(6), 1.3))
 
     def test_simulate_measurements(self):
-        cfg = default_config("mri", image_side=self.SIDE, af=4, center_lines=4,
-                             measurement_noise_std=0.05)
+        cfg = default_config("mri", image_side=self.SIDE, measurement_noise_std=0.05)
         op = self._operator()
         truth = self._twin_draws(make_rng(7))
         got = simulate_measurements(op, truth, cfg, seed=3)

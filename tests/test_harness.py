@@ -30,7 +30,7 @@ from dcpnp.experiment import (
 )
 from dcpnp.grid_core import make_rng
 from dcpnp.metrics import psnr, ssim
-from dcpnp.phantoms import PhantomSpec, flat_disk, make_phantom, mri_phantom, random_ellipses, shepp_logan
+from dcpnp.phantoms import mri_phantom, shepp_logan
 from dcpnp.priors import IdentityDenoiser
 from dcpnp.solver import SolverStepError
 
@@ -42,25 +42,12 @@ class TestPhantoms:
         assert ph[0, 0] == -1.0  # corner is background
         assert ph.min() == -1.0
 
-    def test_flat_disk_two_levels(self):
-        ph = flat_disk(64, radius=0.5, inside=0.75, outside=-0.25)
-        values = np.unique(ph)
-        assert set(values.tolist()) == {-0.25, 0.75}
-
-    def test_random_ellipses_reproducible(self):
-        a = random_ellipses(64, make_rng(3))
-        b = random_ellipses(64, make_rng(3))
-        assert np.array_equal(a, b)
-        assert a.min() >= -1.0 and a.max() <= 1.0
-
-    def test_make_phantom_dispatch(self):
-        assert make_phantom(PhantomSpec("shepp-logan", 32)).shape == (32, 32)
-        assert make_phantom(PhantomSpec("flat-disk", 32)).shape == (32, 32)
-        assert make_phantom(PhantomSpec("random-ellipses", 32), make_rng(0)).shape == (32, 32)
-
-    def test_small_side_rejected(self):
-        with pytest.raises(ValueError):
-            PhantomSpec("shepp-logan", 8)
+    @pytest.mark.parametrize("task", experiment.TASKS)
+    def test_one_phantom_per_task(self, task):
+        cfg = ExperimentConfig(task=task, image_side=32)
+        want = mri_phantom(32) if task == "mri" else shepp_logan(32)
+        for seed in (0, 7):
+            assert np.array_equal(build_phantom(cfg, seed), want)
 
     def test_mri_phantom_complex_with_smooth_phase(self):
         img = mri_phantom(64)
@@ -161,7 +148,9 @@ class TestConfig:
         lact = default_config("lact")
         assert lact.n_views == 90 and lact.max_angle == 90.0 and lact.cg_iters == 100
         mri = default_config("mri")
-        assert mri.image_side == 320 and mri.af in (6, 10) and mri.cg_iters == 20
+        assert mri.image_side == 320 and mri.cg_iters == 20
+        assert np.array_equal(build_operator(mri).mask.keep,
+                              operators.make_cartesian_mask(320, 320, 6, 16).keep)
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=(3, 4, 5))
@@ -170,9 +159,10 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded == cfg
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["foo = 1", "phantom = flat-disk", "af = 4", "center_lines = 4"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "bad.ini"
-        path.write_text("[experiment]\ntask = svct\nfoo = 1\n")
+        path.write_text(f"[experiment]\ntask = svct\n{line}\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
@@ -198,29 +188,29 @@ class TestConfig:
             ExperimentConfig(denoiser=kind)
 
     @pytest.mark.parametrize("field,value,match", [
-        ("phantom", "bogus", "unknown phantom kind"),
         ("spacing", "cubic", "unknown spacing"),
         ("sh_window", 6, "odd positive integer"),
         ("cg_iters", 0, "max_iters must be at least 1"),
         ("steps", 0, "steps must be at least 1"),
-        ("image_side", 8, "phantom side must be at least 16"),
+        ("image_side", 8, "image_side must be at least 16"),
         ("variants", (), "at least one variant"),
+        ("measurement_noise_std", -0.4, "measurement_noise_std must be non-negative"),
+        ("workers", -3, "workers must be at least 1"),
+        ("workers", 0, "workers must be at least 1"),
+        ("seeds", (0, 1, 0), "seeds repeats a seed"),
+        ("variants", (experiment.FULL_METHOD, experiment.MEMORYLESS, experiment.FULL_METHOD),
+         "variants repeats a variant"),
     ])
     def test_bad_knob_rejected_at_construction(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**{field: value})
 
-    def test_unknown_phantom_rejected_for_every_task(self):
+    def test_small_side_rejected_for_every_task(self):
+        # mri renders its own phantom, but SSIM's 11x11 window still needs the side
         for task in experiment.TASKS:
-            with pytest.raises(ValueError, match="unknown phantom kind"):
-                ExperimentConfig(task=task, phantom="bogus")
-        # MRI builds its own phantom, so the CT phantom's minimum side does not apply
-        assert ExperimentConfig(task="mri", image_side=8).image_side == 8
-
-    @pytest.mark.parametrize("kind", ["flat-disk", "random-ellipses"])
-    def test_mri_runs_only_its_own_phantom(self, kind):
-        with pytest.raises(ValueError, match="task mri runs only the shepp-logan phantom"):
-            ExperimentConfig(task="mri", phantom=kind)
+            with pytest.raises(ValueError, match="image_side must be at least 16"):
+                ExperimentConfig(task=task, image_side=8)
+        assert ExperimentConfig(task="mri", image_side=16).image_side == 16
 
     def test_readme_lists_the_config_keys(self, tmp_path):
         # README's key list against `config.resolved`, section by section, in order
@@ -310,8 +300,7 @@ class TestRunExperiment:
         assert not error.exists()
 
     def test_mri_task_runs(self, tmp_path):
-        cfg = tiny_config(tmp_path, task="mri", image_side=32, af=4, center_lines=4,
-                          seeds=(0,), steps=3)
+        cfg = tiny_config(tmp_path, task="mri", image_side=32, seeds=(0,), steps=3)
         rows = run_experiment(cfg)
         assert rows[0].status == "ok"
         assert math.isfinite(rows[0].psnr)
@@ -471,7 +460,7 @@ class TestParallelDeterminism:
         assert pooled == (Path(serial.out_dir) / "metrics.csv").read_bytes()
 
     def test_pooled_mri_grid_after_complex_denoise_matches_serial(self, tmp_path):
-        cfg = tiny_config(tmp_path, task="mri", image_side=32, af=4, center_lines=4, steps=3)
+        cfg = tiny_config(tmp_path, task="mri", image_side=32, steps=3)
         serial = dataclasses.replace(cfg, out_dir=str(tmp_path / "serial"))
         ablate(serial)
         pooled = _ablate_in_subprocess(dataclasses.replace(cfg, workers=2), tmp_path, "pooled",
