@@ -21,22 +21,25 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .fidelity import CgConfig
 from .grid_core import channels, from_channels, save_grid, save_pgm, write_table
-from .metrics import psnr, ssim
+from .metrics import PSNR_PEAK, psnr, ssim
 from .operators import (
+    CartesianMask,
     FourierMaskOperator,
     LinearOperator,
+    RadonGeometry,
     RadonOperator,
     make_cartesian_mask,
     make_limited_angle_geometry,
     make_sparse_view_geometry,
 )
 from .phantoms import mri_phantom, shepp_logan
-from .priors import Denoiser, GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
+from .priors import Denoiser, NoiseSchedule, TvProxDenoiser
 from .reductions import norm
 from .solver import SolverStepError, VariantSpec, run
 from .spectral import ShConfig
@@ -64,7 +67,11 @@ class ExperimentConfig:
     over [0, 90], CG budget 100; mri: 320px) are `_TASK_DEFAULTS`, which
     only `default_config` and `load_config` apply:
     `ExperimentConfig(task="lact")` keeps 20 views and CG budget 20, and
-    `task="mri"` keeps 256px."""
+    `task="mri"` keeps 256px. Construction builds the geometry, denoiser,
+    schedule and CG settings, so a bad knob fails before any row runs. Rows
+    score over the phantoms' fixed range `psnr_peak`, which is not a field."""
+
+    psnr_peak: ClassVar[float] = PSNR_PEAK
 
     # experiment
     task: str = "svct"
@@ -74,7 +81,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "runs"
     workers: int = 1
-    psnr_peak: float = 2.0
     # ct geometry
     n_views: int = 20
     max_angle: float = 90.0
@@ -91,21 +97,21 @@ class ExperimentConfig:
     # data-consistency solve
     cg_iters: int = 20
     lam0: float = 1e-05
-    # spectral homogenization
-    sh_window: int = 7
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.image_side < 16:  # SSIM's 11x11 window needs room
             raise ValueError(f"image_side must be at least 16, got {self.image_side}")
-        if self.measurement_noise_std < 0:
-            raise ValueError("measurement_noise_std must be non-negative, "
+        if not 0 <= self.measurement_noise_std < np.inf:
+            raise ValueError("measurement_noise_std must be non-negative and finite, "
                              f"got {self.measurement_noise_std}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
         if not self.variants:
             raise ValueError("at least one variant is required")
         # a repeated row would write the same run directory twice
@@ -115,8 +121,18 @@ class ExperimentConfig:
             raise ValueError(f"variants repeats a variant: {self.variants}")
         for label in self.variants:
             VariantSpec.from_label(label)
-        for build in (self.make_denoiser, self.schedule, self.cg_config, self.sh_config):
+        for build in (self.geometry, self.make_denoiser, self.schedule, self.cg_config):
             build()  # a bad knob fails here, not in every row after the pool has forked
+
+    def geometry(self) -> RadonGeometry | CartesianMask:
+        """The task's Radon geometry, or for mri its k-space mask: the
+        operator without its matrix. `detector_bins` 0 derives the bins."""
+        if self.task == "mri":
+            return make_cartesian_mask(self.image_side, self.image_side, MRI_AF, MRI_CENTER_LINES)
+        bins = self.detector_bins or None
+        if self.task == "svct":
+            return make_sparse_view_geometry(self.n_views, self.image_side, bins)
+        return make_limited_angle_geometry(self.n_views, self.max_angle, self.image_side, bins)
 
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_max, self.sigma_min, self.steps, self.spacing)
@@ -125,19 +141,13 @@ class ExperimentConfig:
         return CgConfig(self.cg_iters, lam=self.lam0)
 
     def sh_config(self) -> ShConfig:
-        return ShConfig(self.sh_window)
+        return ShConfig()
 
     def make_denoiser(self) -> Denoiser:
-        """The denoiser `denoiser` names: tv-prox, gaussian-prior or identity."""
+        """The denoiser `denoiser` names; tv-prox is the one kind a config selects."""
         if self.denoiser == "tv-prox":
             return TvProxDenoiser(self.tv_weight, self.tv_iters)
-        if self.denoiser == "gaussian-prior":
-            zero = np.zeros((self.image_side, self.image_side))
-            return GaussianPriorDenoiser(zero, tau=1.0)
-        if self.denoiser == "identity":
-            return IdentityDenoiser()
-        raise ValueError(f"unknown denoiser {self.denoiser!r}; a config can select "
-                         "tv-prox, gaussian-prior or identity")
+        raise ValueError(f"unknown denoiser {self.denoiser!r}; a config can select tv-prox")
 
 
 # task-specific overrides applied on top of the dataclass defaults
@@ -205,7 +215,6 @@ _SECTION_STARTS = {
     "steps": "schedule",
     "denoiser": "denoiser",
     "cg_iters": "fidelity",
-    "sh_window": "spectral",
 }
 
 
@@ -231,15 +240,10 @@ def _rng_for(seed: int, role: int) -> np.random.Generator:
 
 
 def build_operator(cfg: ExperimentConfig) -> LinearOperator:
-    bins = cfg.detector_bins if cfg.detector_bins > 0 else None
-    if cfg.task == "svct":
-        geo = make_sparse_view_geometry(cfg.n_views, cfg.image_side, bins)
-        return RadonOperator(geo)
-    if cfg.task == "lact":
-        geo = make_limited_angle_geometry(cfg.n_views, cfg.max_angle, cfg.image_side, bins)
-        return RadonOperator(geo)
-    mask = make_cartesian_mask(cfg.image_side, cfg.image_side, MRI_AF, MRI_CENTER_LINES)
-    return FourierMaskOperator(mask)
+    geometry = cfg.geometry()
+    if isinstance(geometry, CartesianMask):
+        return FourierMaskOperator(geometry)
+    return RadonOperator(geometry)
 
 
 def build_phantom(cfg: ExperimentConfig, seed: int) -> np.ndarray:
@@ -295,15 +299,14 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int) -> MetricRow:
         variant = VariantSpec.from_label(variant_label)
         recon, trace = run(
             op, y, cfg.make_denoiser(), cfg.schedule(), variant,
-            cfg.cg_config(), cfg.sh_config(), _rng_for(seed, 0),
-            ground_truth=truth, psnr_peak=cfg.psnr_peak,
+            cfg.cg_config(), cfg.sh_config(), _rng_for(seed, 0), ground_truth=truth,
         )
         row = MetricRow(
             task=cfg.task,
             variant=variant_label,
             seed=seed,
-            psnr=psnr(recon, truth, cfg.psnr_peak),
-            ssim=ssim(recon, truth, data_range=cfg.psnr_peak),
+            psnr=psnr(recon, truth),
+            ssim=ssim(recon, truth),
             data_residual=norm(op.apply(recon) - y),
             wall_time=time.perf_counter() - start,
         )

@@ -43,8 +43,8 @@ class CgConfig:
             raise ValueError("max_iters must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.lam < 0:
-            raise ValueError("penalty must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("penalty must be nonnegative and finite")
 
 
 @dataclass

@@ -16,13 +16,16 @@ from scipy import ndimage
 
 from .grid_core import gaussian_window
 
+# the width of the phantoms' fixed intensity range [-1, 1]
+PSNR_PEAK = 2.0
+
 
 def _as_comparable(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     return np.abs(a) if np.iscomplexobj(a) else a.astype(np.float64)
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 2.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray, peak: float = PSNR_PEAK) -> float:
     """10 log10(peak^2 / MSE) in dB; +inf when the grids are identical."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
@@ -35,7 +38,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 2.0) -> float:
     return 10.0 * math.log10(peak**2 / mse)
 
 
-def ssim(a: np.ndarray, b: np.ndarray, data_range: float = 2.0) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, data_range: float = PSNR_PEAK) -> float:
     """Mean local SSIM over the interior (windows fully inside the grids)."""
     a, b = _as_comparable(a), _as_comparable(b)
     if a.shape != b.shape:

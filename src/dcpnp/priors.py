@@ -1,9 +1,9 @@
 """Denoiser contract, noise schedule, and analytic stand-in priors.
 
-The solver only ever calls `Denoiser.denoise(v, sigma, t)`. Three analytic
+The solver only ever calls `Denoiser.denoise(v, sigma, t)`. Two analytic
 denoisers are provided for desk-scale experiments where the prior's score
-or proximal map is known exactly (Gaussian prior, TV prox, identity), plus
-a file-based handshake for plugging in an external denoiser process.
+or proximal map is known exactly (Gaussian prior, TV prox), plus a
+file-based handshake for plugging in an external denoiser process.
 
 The TV prox denoises the channels of a complex grid (`grid_core.channels`)
 at the same time, through `grid_core.fork_join`.
@@ -38,8 +38,8 @@ class NoiseSchedule:
     spacing: str = "geometric"  # or "linear"
 
     def __post_init__(self):
-        if not 0 < self.sigma_min <= self.sigma_max:
-            raise ValueError("need 0 < sigma_min <= sigma_max")
+        if not 0 < self.sigma_min <= self.sigma_max < np.inf:
+            raise ValueError("need 0 < sigma_min <= sigma_max < inf")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.spacing not in ("linear", "geometric"):
@@ -83,13 +83,6 @@ class Denoiser:
 
     def _denoise(self, v: np.ndarray, sigma: float, t: int) -> np.ndarray:
         raise NotImplementedError
-
-
-class IdentityDenoiser(Denoiser):
-    kind = "identity"
-
-    def _denoise(self, v, sigma, t):
-        return np.array(v, copy=True)
 
 
 class GaussianPriorDenoiser(Denoiser):
@@ -225,8 +218,8 @@ class TvProxDenoiser(Denoiser):
     kind = "tv-prox"
 
     def __init__(self, weight: float = 0.5, iters: int = 50):
-        if weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if not 0 <= weight < np.inf:
+            raise ValueError("weight must be nonnegative and finite")
         if iters < 1:
             raise ValueError("iters must be at least 1")
         self.weight = float(weight)

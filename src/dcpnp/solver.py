@@ -23,7 +23,7 @@ import numpy as np
 
 from .fidelity import CgConfig, prox_data_consistency
 from .grid_core import channels, from_channels, make_rng, write_table
-from .metrics import psnr
+from .metrics import PSNR_PEAK, psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
 from .reductions import norm
@@ -116,12 +116,6 @@ class IterationRecord:
 class IterationTrace:
     records: list[IterationRecord] = field(default_factory=list)
 
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
     TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
     SPECTRAL_COLUMNS = (
         "k", "sigma", "injected_energy", "flatness_before", "flatness_after",
@@ -179,7 +173,7 @@ def run(
     sh: ShConfig,
     rng: np.random.Generator,
     ground_truth: np.ndarray | None = None,
-    psnr_peak: float = 2.0,
+    psnr_peak: float = PSNR_PEAK,
     on_iteration=None,
 ) -> tuple[np.ndarray, IterationTrace]:
     """Run the full outer loop and return the final prior iterate plus trace.

@@ -3,6 +3,7 @@
 import numpy as np
 
 from dcpnp.operators import LinearOperator
+from dcpnp.priors import Denoiser
 
 
 class IdentityOperator(LinearOperator):
@@ -19,3 +20,12 @@ class IdentityOperator(LinearOperator):
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         self._check_range(y)
         return np.array(y, copy=True)
+
+
+class IdentityDenoiser(Denoiser):
+    """D(v) = v: the prior that changes nothing."""
+
+    kind = "identity"
+
+    def _denoise(self, v, sigma, t):
+        return np.array(v, copy=True)

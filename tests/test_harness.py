@@ -31,8 +31,8 @@ from dcpnp.experiment import (
 from dcpnp.grid_core import make_rng
 from dcpnp.metrics import psnr, ssim
 from dcpnp.phantoms import mri_phantom, shepp_logan
-from dcpnp.priors import IdentityDenoiser
 from dcpnp.solver import SolverStepError
+from helpers import IdentityDenoiser
 
 
 class TestPhantoms:
@@ -159,7 +159,8 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded == cfg
 
-    @pytest.mark.parametrize("line", ["foo = 1", "phantom = flat-disk", "af = 4", "center_lines = 4"])
+    @pytest.mark.parametrize("line", ["foo = 1", "phantom = flat-disk", "af = 4", "center_lines = 4",
+                                      "psnr_peak = 2.0", "sh_window = 7"])
     def test_unknown_key_rejected(self, tmp_path, line):
         path = tmp_path / "bad.ini"
         path.write_text(f"[experiment]\ntask = svct\n{line}\n")
@@ -182,28 +183,41 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task="pet")
 
-    @pytest.mark.parametrize("kind", ["external", "median"])
+    @pytest.mark.parametrize("kind", ["external", "median", "identity", "gaussian-prior"])
     def test_unbuildable_denoiser_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown denoiser"):
             ExperimentConfig(denoiser=kind)
 
-    @pytest.mark.parametrize("field,value,match", [
-        ("spacing", "cubic", "unknown spacing"),
-        ("sh_window", 6, "odd positive integer"),
-        ("cg_iters", 0, "max_iters must be at least 1"),
-        ("steps", 0, "steps must be at least 1"),
-        ("image_side", 8, "image_side must be at least 16"),
-        ("variants", (), "at least one variant"),
-        ("measurement_noise_std", -0.4, "measurement_noise_std must be non-negative"),
-        ("workers", -3, "workers must be at least 1"),
-        ("workers", 0, "workers must be at least 1"),
-        ("seeds", (0, 1, 0), "seeds repeats a seed"),
-        ("variants", (experiment.FULL_METHOD, experiment.MEMORYLESS, experiment.FULL_METHOD),
+    @pytest.mark.parametrize("knobs,match", [
+        ({"spacing": "cubic"}, "unknown spacing"),
+        ({"cg_iters": 0}, "max_iters must be at least 1"),
+        ({"steps": 0}, "steps must be at least 1"),
+        ({"image_side": 8}, "image_side must be at least 16"),
+        ({"variants": ()}, "at least one variant"),
+        ({"measurement_noise_std": -0.4}, "measurement_noise_std must be non-negative"),
+        ({"measurement_noise_std": math.nan}, "measurement_noise_std must be non-negative"),
+        ({"measurement_noise_std": math.inf}, "measurement_noise_std must be non-negative"),
+        ({"workers": -3}, "workers must be at least 1"),
+        ({"workers": 0}, "workers must be at least 1"),
+        ({"seeds": (0, 1, 0)}, "seeds repeats a seed"),
+        ({"seeds": (-1,)}, "seeds must be non-negative"),
+        ({"variants": (experiment.FULL_METHOD, experiment.MEMORYLESS, experiment.FULL_METHOD)},
          "variants repeats a variant"),
+        ({"n_views": 0}, "n_views must be at least 1"),
+        ({"task": "lact", "n_views": 0}, "n_views must be at least 1"),
+        ({"image_side": 16, "detector_bins": 10}, "detector too narrow"),
+        ({"detector_bins": -5}, "detector_bins and image_side must be positive"),
+        ({"task": "lact", "max_angle": 0.0}, "max_angle must lie in"),
+        ({"task": "lact", "max_angle": 180.0}, "max_angle must lie in"),
+        ({"tv_weight": math.nan}, "weight must be nonnegative and finite"),
+        ({"tv_weight": math.inf}, "weight must be nonnegative and finite"),
+        ({"lam0": math.nan}, "penalty must be nonnegative and finite"),
+        ({"lam0": math.inf}, "penalty must be nonnegative and finite"),
+        ({"sigma_max": math.inf}, "sigma_max < inf"),
     ])
-    def test_bad_knob_rejected_at_construction(self, field, value, match):
+    def test_bad_knob_rejected_at_construction(self, knobs, match):
         with pytest.raises(ValueError, match=match):
-            ExperimentConfig(**{field: value})
+            ExperimentConfig(**knobs)
 
     def test_small_side_rejected_for_every_task(self):
         # mri renders its own phantom, but SSIM's 11x11 window still needs the side
@@ -263,8 +277,9 @@ class TestRunExperiment:
         bytes_b = (Path(cfg_b.out_dir) / "metrics.csv").read_bytes()
         assert bytes_a == bytes_b
 
-    def test_row_failure_recorded_not_raised(self, tmp_path):
-        cfg = tiny_config(tmp_path, seeds=(0,), detector_bins=11)  # too narrow
+    def test_row_failure_recorded_not_raised(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "build_phantom", lambda cfg, seed: 1 / 0)
+        cfg = tiny_config(tmp_path, seeds=(0,))
         rows = run_experiment(cfg)
         assert len(rows) == 1
         assert rows[0].status.startswith("error:")

