@@ -121,6 +121,14 @@ class ExperimentConfig:
             raise ValueError(f"variants repeats a variant: {self.variants}")
         for label in self.variants:
             VariantSpec.from_label(label)
+        # every task checks the geometry keys, also the ones it ignores
+        if self.n_views < 1:
+            raise ValueError(f"n_views must be at least 1, got {self.n_views}")
+        if self.detector_bins < 0:
+            raise ValueError("detector_bins and image_side must be positive, "
+                             f"got {self.detector_bins}")
+        if not 0.0 < self.max_angle < 180.0:
+            raise ValueError(f"max_angle must lie in (0, 180), got {self.max_angle}")
         for build in (self.geometry, self.make_denoiser, self.schedule, self.cg_config):
             build()  # a bad knob fails here, not in every row after the pool has forked
 
@@ -199,7 +207,11 @@ def load_config(path, **overrides) -> ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
             if key in params:
                 raise ValueError(f"duplicate config key {key!r}")
-            params[key] = _parse_value(key, raw)
+            try:
+                params[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"bad value for config key {key!r} in section [{section}]: "
+                                 f"{exc}") from exc
     file_task = params.pop("task", None)
     task = overrides.pop("task", None) or file_task or "svct"
     merged = dict(params)

@@ -8,11 +8,13 @@ dot-test to near machine precision because the adjoint is the literal
 transpose of the discretized forward map, never an independent
 discretization.
 
-The Radon matrices are applied on every CPU the process may run on: each is
-cut into one nnz-balanced row range per CPU, and `grid_core.fork_join` runs
-scipy's CSR kernel (which releases the GIL) on each range, straight on the
-matrix's own arrays. Every row is still summed in the same order, so results
-are bitwise equal to a single-threaded product.
+A Radon matrix is stored once, cut by columns into one CSR block per CPU the
+process may run on, and applied on every CPU in both directions:
+`grid_core.fork_join` runs scipy's sparse kernels (which release the GIL)
+straight on the blocks' own arrays, over nnz-balanced row ranges for the
+forward map and over the blocks' disjoint pixels for the adjoint. Every
+entry is still summed in the order of a single-threaded product with the
+matrix or its CSR transpose, so results are bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -162,8 +164,9 @@ def _footprint(theta: float) -> tuple[float, float, int]:
     return a, abs(w1 - w2) / 2.0, int(math.ceil(2.0 * a)) + 1
 
 
-def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
-    """Pixel-driven projection matrix with exact area-weighted footprints.
+def _radon_blocks(geo: RadonGeometry, columns: list[tuple[int, int]]) -> list[sp.csr_matrix]:
+    """Pixel-driven projection matrix with exact area-weighted footprints, as
+    one CSR block per `(lo, hi)` pixel range of `columns`.
 
     Each pixel's unit-square aperture projects onto the detector axis as a
     trapezoid (the convolution of boxes of width |cos t| and |sin t|); the
@@ -173,11 +176,15 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     two-bin split produces. Contributions outside the detector are dropped
     identically in forward and adjoint, so the adjoint is an exact transpose.
 
-    View v owns rows v*n_bins ... (v+1)*n_bins - 1, so the matrix is built
-    one view at a time: each view's CSR block is scattered straight into
-    arrays sized for an upper bound on the non-zero count, which are shrunk
-    in place at the end. Pages past the real count are never touched, and
-    the whole matrix is never held as (row, column, value) triplets.
+    Block b holds every row and the columns of pixels lo ... hi - 1 of
+    `columns[b]`, with block-local column indices; laid side by side the
+    blocks are the whole matrix. View v owns rows v*n_bins ... (v+1)*n_bins - 1, so the
+    blocks are built one view at a time: a view's entries come out
+    pixel-major, each block's share is one contiguous slice of them, and
+    each share is scattered straight into arrays sized for an upper bound on
+    the block's non-zero count, which are shrunk in place at the end. Pages
+    past the real count are never touched, and the matrix is never held as
+    (row, column, value) triplets.
     """
     side = geo.image_side
     n_bins = geo.detector_bins
@@ -191,13 +198,15 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
     x = np.tile(coords, side)
 
     thetas = [math.radians(angle) for angle in geo.angles]
-    bound = n_pixels * sum(_footprint(theta)[2] for theta in thetas)
-    idx_dtype = np.int32 if max(bound, n_rows, n_pixels) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
-    indices = np.empty(bound, dtype=idx_dtype)
-    data = np.empty(bound)
+    per_pixel = sum(_footprint(theta)[2] for theta in thetas)
+    idx_dtype = (np.int32 if max(n_pixels * per_pixel, n_rows) <= np.iinfo(np.int32).max
+                 else np.int64)
+    starts = np.array([lo for lo, _ in columns[1:]], dtype=idx_dtype)
+    indptrs = [np.zeros(n_rows + 1, dtype=idx_dtype) for _ in columns]
+    indices = [np.empty((hi - lo) * per_pixel, dtype=idx_dtype) for lo, hi in columns]
+    data = [np.empty((hi - lo) * per_pixel) for lo, hi in columns]
+    nnz = [0] * len(columns)
     view_indptr = np.empty(n_bins + 1, dtype=idx_dtype)
-    nnz = 0
     for view, theta in enumerate(thetas):
         a, plateau_half, n_touched = _footprint(theta)
         ramp = a - plateau_half
@@ -214,70 +223,103 @@ def _radon_matrix(geo: RadonGeometry) -> sp.csr_matrix:
                 weights[:, offset - 1] = cdf - prev_cdf
             prev_cdf = cdf
         ok = (bins >= 0) & (bins < n_bins) & (weights > 1e-300)
-        pixels = np.nonzero(ok)[0].astype(idx_dtype)
-        count = len(pixels)
-        # a stable scatter by bin of the pixel-major entries leaves every
-        # row's columns in ascending order, with no duplicates to sum
-        _sparsetools.coo_tocsr(n_bins, n_pixels, count, bins[ok].astype(idx_dtype), pixels,
-                               weights[ok], view_indptr, indices[nnz:nnz + count],
-                               data[nnz:nnz + count])
-        indptr[view * n_bins + 1:(view + 1) * n_bins + 1] = view_indptr[1:] + nnz
-        nnz += count
-    indices.resize(nnz, refcheck=False)  # in place: never a second copy
-    data.resize(nnz, refcheck=False)
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_pixels))
+        pixels = np.nonzero(ok)[0].astype(idx_dtype)  # ascending
+        bins, weights = bins[ok].astype(idx_dtype), weights[ok]
+        cuts = [0, *np.searchsorted(pixels, starts).tolist(), len(pixels)]
+        for b, (lo, hi) in enumerate(columns):
+            share = slice(cuts[b], cuts[b + 1])
+            count = share.stop - share.start
+            # a stable scatter by bin of the pixel-major entries leaves every
+            # row's columns in ascending order, with no duplicates to sum
+            _sparsetools.coo_tocsr(n_bins, hi - lo, count, bins[share], pixels[share] - lo,
+                                   weights[share], view_indptr,
+                                   indices[b][nnz[b]:nnz[b] + count],
+                                   data[b][nnz[b]:nnz[b] + count])
+            indptrs[b][view * n_bins + 1:(view + 1) * n_bins + 1] = view_indptr[1:] + nnz[b]
+            nnz[b] += count
+    blocks = []
+    for b, (lo, hi) in enumerate(columns):
+        indices[b].resize(nnz[b], refcheck=False)  # in place: never a second copy
+        data[b].resize(nnz[b], refcheck=False)
+        blocks.append(sp.csr_matrix((data[b], indices[b], indptrs[b]), shape=(n_rows, hi - lo)))
+    return blocks
 
 
-def _row_ranges(matrix: sp.csr_matrix, n_ranges: int) -> list[tuple[int, int]]:
-    """Cut a CSR matrix's rows into at most `n_ranges` contiguous `(first, stop)`
-    ranges of about equal non-zero count, none of them empty of rows."""
-    n_rows = matrix.shape[0]
-    cuts = np.searchsorted(matrix.indptr, np.arange(1, n_ranges) * (matrix.nnz / n_ranges))
+def _column_bounds(n_columns: int, n_blocks: int) -> list[tuple[int, int]]:
+    """`(lo, hi)` column bounds of `n_blocks` blocks of about equal width,
+    none empty: at most one block per column."""
+    k = min(n_blocks, n_columns)
+    return [(b * n_columns // k, (b + 1) * n_columns // k) for b in range(k)]
+
+
+def _row_ranges(indptr: np.ndarray, n_ranges: int) -> list[tuple[int, int]]:
+    """Cut the rows of a CSR row-pointer array into at most `n_ranges`
+    contiguous `(first, stop)` ranges of about equal non-zero count, none of
+    them empty of rows."""
+    n_rows = len(indptr) - 1
+    cuts = np.searchsorted(indptr, np.arange(1, n_ranges) * (indptr[-1] / n_ranges))
     bounds = np.unique(np.concatenate(([0], np.minimum(cuts, n_rows), [n_rows])))
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-
-
-def _matvec(matrix: sp.csr_matrix, ranges: list[tuple[int, int]], x: np.ndarray) -> np.ndarray:
-    """`matrix @ x`, each row range on its own thread through `grid_core.fork_join`."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.zeros(matrix.shape[0])
-
-    def run(rows: tuple[int, int]) -> None:
-        # scipy's own CSR kernel adds each row's sum, in stored order, into the
-        # zeroed slice as `matrix @ x` does; indptr keeps its absolute offsets
-        first, stop = rows
-        _sparsetools.csr_matvec(stop - first, matrix.shape[1], matrix.indptr[first:stop + 1],
-                                matrix.indices, matrix.data, x, out[first:stop])
-
-    grid_core.fork_join(run, ranges)
-    return out
 
 
 class RadonOperator(LinearOperator):
     """Discrete parallel-beam Radon transform with its exact transpose.
 
-    Both matrices are cut into one row range per available CPU at
-    construction; with one CPU the whole matrix is one range.
+    The matrix A is stored once, as one CSR column block per available CPU
+    (`_radon_blocks`), and serves both directions:
+
+    - `apply` cuts the rows into nnz-balanced ranges, one per CPU. Each range
+      runs scipy's CSR kernel over every block in column order, into its
+      slice of one zeroed output. The kernel starts a row's sum from the
+      output's current value, so each row is summed in ascending column
+      order, as `A @ x` sums it.
+    - `adjoint` gives each block its own thread. A block's arrays are the CSC
+      form of its transpose, so scipy's CSC kernel scatters A[i, j] y[i] into
+      the block's own pixels for i in ascending order, the order in which
+      `csr_matrix(A.T) @ y` sums them. The blocks' pixels are disjoint, so
+      nothing is reduced.
+
+    With one CPU there is one block and one range, run on the calling thread.
     """
 
     def __init__(self, geo: RadonGeometry):
         self.domain_shape = (geo.image_side, geo.image_side)
         self.range_shape = (geo.n_views, geo.detector_bins)
-        self._fwd = _radon_matrix(geo)
-        self._adj = sp.csr_matrix(self._fwd.T)
         n_cpus = grid_core.available_cpus()
-        self._fwd_ranges = _row_ranges(self._fwd, n_cpus)
-        self._adj_ranges = _row_ranges(self._adj, n_cpus)
+        self._columns = _column_bounds(geo.image_side ** 2, n_cpus)
+        self._blocks = _radon_blocks(geo, self._columns)
+        indptr = np.sum([block.indptr for block in self._blocks], axis=0, dtype=np.int64)
+        self._ranges = _row_ranges(indptr, n_cpus)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._check_domain(x)
-        return _matvec(self._fwd, self._fwd_ranges, x.ravel()).reshape(self.range_shape)
+        x = x.ravel()
+        out = np.zeros(self.range_shape[0] * self.range_shape[1])
+
+        def rows(bounds: tuple[int, int]) -> None:
+            first, stop = bounds
+            for (lo, hi), block in zip(self._columns, self._blocks):
+                # indptr keeps its absolute offsets into the block's arrays
+                _sparsetools.csr_matvec(stop - first, hi - lo, block.indptr[first:stop + 1],
+                                        block.indices, block.data, x[lo:hi], out[first:stop])
+
+        grid_core.fork_join(rows, self._ranges)
+        return out.reshape(self.range_shape)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         self._check_range(y)
-        return _matvec(self._adj, self._adj_ranges, y.ravel()).reshape(self.domain_shape)
+        y = y.ravel()
+        out = np.zeros(self.domain_shape[0] * self.domain_shape[1])
+
+        def pixels(b: int) -> None:
+            (lo, hi), block = self._columns[b], self._blocks[b]
+            _sparsetools.csc_matvec(hi - lo, len(y), block.indptr, block.indices, block.data,
+                                    y, out[lo:hi])
+
+        grid_core.fork_join(pixels, range(len(self._blocks)))
+        return out.reshape(self.domain_shape)
 
 
 # --- masked Fourier encoding -------------------------------------------------

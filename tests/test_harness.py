@@ -167,6 +167,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,line", [
+        ("geometry", "n_views = 20.0"),
+        ("geometry", "max_angle = wide"),
+        ("experiment", "seeds = 0 one"),
+    ])
+    def test_malformed_value_names_its_key(self, tmp_path, section, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=rf"config key '{key}' in section \[{section}\]"):
+            load_config(path)
+
     def test_cli_task_overrides_file_task(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[experiment]\ntask = svct\n")
@@ -214,6 +226,12 @@ class TestConfig:
         ({"lam0": math.nan}, "penalty must be nonnegative and finite"),
         ({"lam0": math.inf}, "penalty must be nonnegative and finite"),
         ({"sigma_max": math.inf}, "sigma_max < inf"),
+        ({"task": "mri", "n_views": 0}, "n_views must be at least 1"),
+        ({"task": "mri", "detector_bins": -5}, "detector_bins and image_side must be positive"),
+        ({"task": "mri", "max_angle": math.nan}, "max_angle must lie in"),
+        ({"task": "mri", "max_angle": 180.0}, "max_angle must lie in"),
+        ({"max_angle": math.nan}, "max_angle must lie in"),
+        ({"max_angle": -10.0}, "max_angle must lie in"),
     ])
     def test_bad_knob_rejected_at_construction(self, knobs, match):
         with pytest.raises(ValueError, match=match):

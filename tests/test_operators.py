@@ -224,6 +224,42 @@ def _csr_bytes(matrix):
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
 
 
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _storage(array):
+    """The array that owns `array`'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _reachable_storage(root):
+    """The memory of every numpy array reachable from `root` through
+    attributes, lists, tuples and dicts, as the arrays that own it, each once."""
+    seen, owners, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            owner = _storage(obj)
+            owners[id(owner)] = owner
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return list(owners.values())
+
+
+def _patch_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+
+
 class TestViewByViewAssembly:
     GEOMETRIES = {
         "sparse-view": lambda: make_sparse_view_geometry(8, 32),
@@ -233,32 +269,52 @@ class TestViewByViewAssembly:
         "just-covering": lambda: RadonGeometry(np.array([0.0, 30.0, 45.0, 60.0, 135.0]), 46, 32),
     }
 
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
-    def test_bit_identical_to_whole_matrix_assembly(self, kind):
+    def test_bit_identical_to_whole_matrix_assembly(self, monkeypatch, kind, n_cpus):
+        _patch_cpus(monkeypatch, n_cpus)
         geo = self.GEOMETRIES[kind]()
         op = RadonOperator(geo)
         want, off_detector = _coo_radon_matrix(geo)
-        _assert_same_csr(op._fwd, want)
-        _assert_same_csr(op._adj, sp.csr_matrix(want.T))
+        assert len(op._blocks) == n_cpus
+        _assert_same_csr(sp.hstack(op._blocks, format="csr"), want)
+        rng = make_rng(11)
+        x = rng.standard_normal(op.domain_shape)
+        y = rng.standard_normal(op.range_shape)
+        assert _same_bits(op.apply(x).ravel(), want @ x.ravel())
+        assert _same_bits(op.adjoint(y).ravel(), sp.csr_matrix(want.T) @ y.ravel())
         if kind == "just-covering":
             assert off_detector > 0
+        # the matrix is stored once: no transpose or other copy beside the blocks
+        assert sum(block.nnz for block in op._blocks) == want.nnz
+        stored = {id(_storage(a)) for block in op._blocks for a in (block.data, block.indices)}
+        others = [a for a in _reachable_storage(op) if id(a) not in stored]
+        assert not [a for a in others if a.size == want.nnz]
+        # past the one copy, only the blocks' row pointers are held
+        assert sum(a.nbytes for a in others) == sum(b.indptr.nbytes for b in op._blocks)
 
-    def test_shrunk_in_place(self):
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_shrunk_in_place(self, n_blocks):
+        geo = make_limited_angle_geometry(45, 90.0, 64)
         tracemalloc.start()
         try:
-            matrix = operators._radon_matrix(make_limited_angle_geometry(45, 90.0, 64))
+            blocks = operators._radon_blocks(geo, operators._column_bounds(64 * 64, n_blocks))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        for array in (matrix.data, matrix.indices):
-            storage = array if array.base is None else array.base
-            assert storage.flags.owndata
-            assert storage.size == matrix.nnz
+        assert len(blocks) == n_blocks
+        for block in blocks:
+            for array in (block.data, block.indices):
+                storage = _storage(array)
+                assert storage.flags.owndata
+                assert storage.size == block.nnz
         # the arrays are preallocated for 1.4x the real count here; shrinking
         # them by a copy would take the peak to 1.9x
-        assert peak <= 1.6 * _csr_bytes(matrix)
+        assert peak <= 1.6 * sum(_csr_bytes(block) for block in blocks)
 
-    def test_build_peak_near_final_size(self):
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_build_peak_near_final_size(self, monkeypatch, n_cpus):
+        _patch_cpus(monkeypatch, n_cpus)
         geo = make_limited_angle_geometry(45, 90.0, 64)
         tracemalloc.start()
         try:
@@ -266,9 +322,10 @@ class TestViewByViewAssembly:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        final = _csr_bytes(op._fwd) + _csr_bytes(op._adj)
-        # the whole-matrix assembly peaked at 2.86x
-        assert peak <= 1.25 * final
+        one_copy = sum(_csr_bytes(block) for block in op._blocks)
+        # storing the transpose beside the matrix took the peak to 2.0x, and
+        # the whole-matrix assembly to 5.7x
+        assert peak <= 1.6 * one_copy
 
 
 class TestThreadedRadon:
@@ -280,22 +337,25 @@ class TestThreadedRadon:
     @pytest.mark.parametrize("n_cpus", [2, 3])
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
     def test_ranged_matvec_bitwise_equal_to_matrix(self, monkeypatch, kind, n_cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        _patch_cpus(monkeypatch, n_cpus)
         op = RadonOperator(self.GEOMETRIES[kind]())
-        assert len(op._fwd_ranges) == n_cpus
-        assert len(op._adj_ranges) == n_cpus
+        assert len(op._blocks) == n_cpus
+        assert len(op._ranges) == n_cpus
+        whole = sp.hstack(op._blocks, format="csr")
         rng = make_rng(7)
         x = rng.standard_normal(op.domain_shape)
         y = rng.standard_normal(op.range_shape)
-        assert np.array_equal(op.apply(x).ravel(), op._fwd @ x.ravel())
-        assert np.array_equal(op.adjoint(y).ravel(), op._adj @ y.ravel())
+        assert _same_bits(op.apply(x).ravel(), whole @ x.ravel())
+        assert _same_bits(op.adjoint(y).ravel(), sp.csr_matrix(whole.T) @ y.ravel())
         assert dot_test(op, make_rng(8)) <= 1e-10
 
     def test_concurrent_callers_get_their_own_results(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        _patch_cpus(monkeypatch, 3)
         op = RadonOperator(make_sparse_view_geometry(20, 48))
+        whole = sp.hstack(op._blocks, format="csr")
+        whole_t = sp.csr_matrix(whole.T)
         inputs = [make_rng(seed).standard_normal(op.domain_shape) for seed in range(8)]
-        expected = [op._adj @ (op._fwd @ x.ravel()) for x in inputs]
+        expected = [whole_t @ (whole @ x.ravel()) for x in inputs]
 
         def normal_repeatedly(x):
             return [op.adjoint(op.apply(x)).ravel() for _ in range(10)]
@@ -308,44 +368,59 @@ class TestThreadedRadon:
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(results, expected):
-            assert all(np.array_equal(g, want) for g in got)
+            assert all(_same_bits(g, want) for g in got)
 
     def test_ranges_have_balanced_nnz(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        _patch_cpus(monkeypatch, 4)
         op = RadonOperator(make_limited_angle_geometry(90, 90.0, 48))
-        for whole, ranges in ((op._fwd, op._fwd_ranges), (op._adj, op._adj_ranges)):
-            assert [first for first, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
-            assert ranges[0][0] == 0 and ranges[-1][1] == whole.shape[0]
-            counts = [whole.indptr[stop] - whole.indptr[first] for first, stop in ranges]
-            assert sum(counts) == whole.nnz
-            assert max(counts) - min(counts) <= 2 * np.diff(whole.indptr).max()
+        ranges = op._ranges
+        n_rows = op.range_shape[0] * op.range_shape[1]
+        assert [first for first, _ in ranges[1:]] == [stop for _, stop in ranges[:-1]]
+        assert ranges[0][0] == 0 and ranges[-1][1] == n_rows
+        indptr = sum(block.indptr.astype(np.int64) for block in op._blocks)
+        counts = [indptr[stop] - indptr[first] for first, stop in ranges]
+        assert sum(counts) == sum(block.nnz for block in op._blocks)
+        assert max(counts) - min(counts) <= 2 * np.diff(indptr).max()
+        # the column blocks tile the image in pixel order, each a quarter of it
+        widths = [block.shape[1] for block in op._blocks]
+        assert sum(widths) == 48 * 48 and max(widths) - min(widths) <= 1
 
-    def test_more_ranges_than_rows(self):
-        matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0],
-                                         [0.0, 5.0, 6.0]]))
-        ranges = operators._row_ranges(matrix, 50)
-        assert 1 <= len(ranges) <= matrix.shape[0]
+    def test_more_ranges_than_rows(self, monkeypatch):
+        # 3 detector rows and 4 pixels: more CPUs than either
+        _patch_cpus(monkeypatch, 6)
+        geo = RadonGeometry(np.array([30.0]), detector_bins=3, image_side=2)
+        op = RadonOperator(geo)
+        assert [block.shape[1] for block in op._blocks] == [1, 1, 1, 1]
+        ranges = op._ranges
+        assert 1 <= len(ranges) <= 3
         assert min(stop - first for first, stop in ranges) >= 1
         assert [first for first, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
-        assert ranges[-1][1] == matrix.shape[0]
-        x = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(operators._matvec(matrix, ranges, x), matrix @ x)
+        assert ranges[-1][1] == 3
+        want, _ = _coo_radon_matrix(geo)
+        x = np.array([[1.5, -2.0], [0.25, 3.0]])
+        y = np.array([[0.5, -1.0, 2.0]])
+        assert _same_bits(op.apply(x).ravel(), want @ x.ravel())
+        assert _same_bits(op.adjoint(y).ravel(), sp.csr_matrix(want.T) @ y.ravel())
+        indptr = np.array([0, 2, 2, 4, 6])
+        assert operators._row_ranges(indptr, 50) == [(0, 1), (1, 3), (3, 4)]
 
     def test_single_range(self):
-        matrix = RadonOperator(make_sparse_view_geometry(6, 24))._fwd
-        assert operators._row_ranges(matrix, 1) == [(0, matrix.shape[0])]
+        block, = operators._radon_blocks(make_sparse_view_geometry(6, 24), [(0, 24 * 24)])
+        assert operators._row_ranges(block.indptr, 1) == [(0, block.shape[0])]
 
     def test_single_cpu_multiplies_directly(self, monkeypatch):
         def no_pool():
             raise AssertionError("a single-CPU operator must not use the thread pool")
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _patch_cpus(monkeypatch, 1)
         monkeypatch.setattr(grid_core, "worker_pool", no_pool)
         op = RadonOperator(make_sparse_view_geometry(20, 32))
+        block, = op._blocks
+        assert op._ranges == [(0, block.shape[0])]
         x = make_rng(9).standard_normal(op.domain_shape)
         y = make_rng(10).standard_normal(op.range_shape)
-        assert np.array_equal(op.apply(x).ravel(), op._fwd @ x.ravel())
-        assert np.array_equal(op.adjoint(y).ravel(), op._adj @ y.ravel())
+        assert _same_bits(op.apply(x).ravel(), block @ x.ravel())
+        assert _same_bits(op.adjoint(y).ravel(), sp.csr_matrix(block.T) @ y.ravel())
 
 
 class TestCartesianMask:
