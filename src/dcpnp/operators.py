@@ -178,13 +178,13 @@ def _radon_blocks(geo: RadonGeometry, columns: list[tuple[int, int]]) -> list[sp
 
     Block b holds every row and the columns of pixels lo ... hi - 1 of
     `columns[b]`, with block-local column indices; laid side by side the
-    blocks are the whole matrix. View v owns rows v*n_bins ... (v+1)*n_bins - 1, so the
-    blocks are built one view at a time: a view's entries come out
-    pixel-major, each block's share is one contiguous slice of them, and
-    each share is scattered straight into arrays sized for an upper bound on
-    the block's non-zero count, which are shrunk in place at the end. Pages
-    past the real count are never touched, and the matrix is never held as
-    (row, column, value) triplets.
+    blocks are the whole matrix. View v owns rows v*n_bins ...
+    (v+1)*n_bins - 1, so the blocks are built one view at a time: a view's
+    entries come out pixel-major, each block's share is one contiguous slice
+    of them, and each share is scattered straight into arrays sized for an
+    upper bound on the block's non-zero count, which are shrunk in place at
+    the end. Pages past the real count are never touched, and the matrix is
+    never held as (row, column, value) triplets.
     """
     side = geo.image_side
     n_bins = geo.detector_bins
