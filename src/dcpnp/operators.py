@@ -77,6 +77,8 @@ class RadonGeometry:
         object.__setattr__(self, "angles", angles)
         if angles.ndim != 1 or angles.size < 1:
             raise ValueError("angles must be a non-empty 1D sequence")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError(f"angles must be finite, got {angles[~np.isfinite(angles)][0]}")
         if np.any(np.diff(angles) <= 0):
             raise ValueError("angles must be strictly increasing")
         if angles[0] < 0.0 or angles[-1] >= 180.0:
@@ -133,27 +135,38 @@ def make_limited_angle_geometry(
     return RadonGeometry(angles, bins, image_side)
 
 
-def _trapezoid_cdf(x: np.ndarray, ramp: float, plateau_half: float) -> np.ndarray:
-    """CDF of the unit-area trapezoid (box(w1) conv box(w2)) footprint.
+def _trapezoid_cdf(x: np.ndarray, ramp: float, plateau_half: float, out: np.ndarray,
+                   scratch: np.ndarray, mask: np.ndarray) -> None:
+    """CDF of the unit-area trapezoid (box(w1) conv box(w2)) footprint at
+    `x`, written into `out`; `x` may be clipped in place, and `scratch` and
+    `mask` are work buffers shaped like it.
 
     `ramp` is the ramp width (a - c), `plateau_half` is c, with support
     half-width a = c + ramp; degenerates to a box CDF when ramp ~ 0.
     """
     a = plateau_half + ramp
     height = 1.0 / (a + plateau_half)
-    out = np.empty_like(x)
     if ramp < 1e-12:
-        np.clip((x + a) / (2.0 * a), 0.0, 1.0, out=out)
-        return out
-    np.clip(x, -a, a, out=out)
-    x = out.copy()
-    left = x < -plateau_half
-    right = x > plateau_half
-    mid = ~(left | right)
-    out[left] = height * (x[left] + a) ** 2 / (2.0 * ramp)
-    out[mid] = height * (0.5 * ramp + (x[mid] + plateau_half))
-    out[right] = 1.0 - height * (a - x[right]) ** 2 / (2.0 * ramp)
-    return out
+        np.add(x, a, out=out)
+        out /= 2.0 * a
+        np.clip(out, 0.0, 1.0, out=out)
+        return
+    np.clip(x, -a, a, out=x)  # so both ramps saturate at exactly 0 and 1
+    # the plateau's line everywhere, then each ramp's parabola over it
+    np.add(x, plateau_half, out=out)
+    out += 0.5 * ramp
+    out *= height
+    # a - |x| is bitwise x + a on the left ramp and a - x on the right one
+    np.abs(x, out=scratch)
+    np.subtract(a, scratch, out=scratch)
+    np.square(scratch, out=scratch)
+    scratch *= height
+    scratch /= 2.0 * ramp
+    np.less(x, -plateau_half, out=mask)
+    np.copyto(out, scratch, where=mask)
+    np.subtract(1.0, scratch, out=scratch)
+    np.greater(x, plateau_half, out=mask)
+    np.copyto(out, scratch, where=mask)
 
 
 def _footprint(theta: float) -> tuple[float, float, int]:
@@ -185,6 +198,13 @@ def _radon_blocks(geo: RadonGeometry, columns: list[tuple[int, int]]) -> list[sp
     upper bound on the block's non-zero count, which are shrunk in place at
     the end. Pages past the real count are never touched, and the matrix is
     never held as (row, column, value) triplets.
+
+    A view computes its pixels' projections s and first bins once, then, for
+    each bin offset in turn, the pixels' left bin edges and the footprint's
+    CDF there, into buffers allocated once per build; the difference of two
+    offsets' CDFs is one column of the view's pixel-major weights. Its
+    entries are the weights above 1e-300, on the detector (tested only when
+    a footprint can leave it), gathered by flat index: no boolean indexing.
     """
     side = geo.image_side
     n_bins = geo.detector_bins
@@ -192,13 +212,10 @@ def _radon_blocks(geo: RadonGeometry, columns: list[tuple[int, int]]) -> list[sp
     n_rows = geo.n_views * n_bins
     center = (side - 1) / 2.0
     coords = np.arange(side) - center
-    # x increases along columns, y upward (against the row index);
-    # s = x cos(t) + y sin(t)
-    y = np.repeat(-coords, side)
-    x = np.tile(coords, side)
 
     thetas = [math.radians(angle) for angle in geo.angles]
-    per_pixel = sum(_footprint(theta)[2] for theta in thetas)
+    footprints = [_footprint(theta) for theta in thetas]
+    per_pixel = sum(n_touched for _, _, n_touched in footprints)
     idx_dtype = (np.int32 if max(n_pixels * per_pixel, n_rows) <= np.iinfo(np.int32).max
                  else np.int64)
     starts = np.array([lo for lo, _ in columns[1:]], dtype=idx_dtype)
@@ -207,24 +224,42 @@ def _radon_blocks(geo: RadonGeometry, columns: list[tuple[int, int]]) -> list[sp
     data = [np.empty((hi - lo) * per_pixel) for lo, hi in columns]
     nnz = [0] * len(columns)
     view_indptr = np.empty(n_bins + 1, dtype=idx_dtype)
-    for view, theta in enumerate(thetas):
-        a, plateau_half, n_touched = _footprint(theta)
+    half = (n_bins - 1) / 2.0
+    s, base, edge, ramp_cdf = (np.empty(n_pixels) for _ in range(4))
+    cdfs = np.empty((2, n_pixels))  # one offset's CDF and the one before it
+    on_ramp = np.empty(n_pixels, dtype=bool)
+    for view, (theta, (a, plateau_half, n_touched)) in enumerate(zip(thetas, footprints)):
         ramp = a - plateau_half
-        s = x * math.cos(theta) + y * math.sin(theta)
-        first = np.floor(s - a + (n_bins - 1) / 2.0 + 0.5).astype(np.int64)
-        # pixel-major: weights[p, j] is pixel p's weight on bin first[p] + j
-        bins = first[:, None] + np.arange(n_touched)
-        weights = np.empty(bins.shape)
-        prev_cdf = None
+        # s = x cos(t) + y sin(t), x increasing along columns and y upward
+        # (against the row index)
+        np.add.outer(-coords * math.sin(theta), coords * math.cos(theta),
+                     out=s.reshape(side, side))
+        np.subtract(s, a, out=base)
+        base += half
+        base += 0.5
+        np.floor(base, out=base)  # each pixel's first bin
+        first = base.astype(idx_dtype)
+        # left edge of bin first + k: (first - half - 0.5 + k) - s, whose
+        # integer and half-integer parts are exact in float64
+        base -= half + 0.5
+        # pixel-major: weights[p, k] is pixel p's weight on bin first[p] + k
+        weights = np.empty((n_pixels, n_touched))
         for offset in range(n_touched + 1):
-            edge = first + offset - (n_bins - 1) / 2.0 - 0.5 - s  # left bin edge
-            cdf = _trapezoid_cdf(edge, ramp, plateau_half)
-            if prev_cdf is not None:
-                weights[:, offset - 1] = cdf - prev_cdf
-            prev_cdf = cdf
-        ok = (bins >= 0) & (bins < n_bins) & (weights > 1e-300)
-        pixels = np.nonzero(ok)[0].astype(idx_dtype)  # ascending
-        bins, weights = bins[ok].astype(idx_dtype), weights[ok]
+            cdf = cdfs[offset % 2]
+            np.add(base, offset, out=edge)
+            edge -= s
+            _trapezoid_cdf(edge, ramp, plateau_half, cdf, ramp_cdf, on_ramp)
+            if offset:
+                np.subtract(cdf, cdfs[1 - offset % 2], out=weights[:, offset - 1])
+        keep = weights > 1e-300
+        if first.min() < 0 or first.max() + n_touched > n_bins:
+            bins = first[:, None] + np.arange(n_touched, dtype=idx_dtype)
+            keep &= (bins >= 0) & (bins < n_bins)
+        flat = np.flatnonzero(keep)
+        pixels = np.floor_divide(flat, n_touched, dtype=idx_dtype)  # ascending
+        bins = first.take(pixels)
+        bins += (flat - pixels * n_touched).astype(idx_dtype)
+        weights = weights.take(flat)
         cuts = [0, *np.searchsorted(pixels, starts).tolist(), len(pixels)]
         for b, (lo, hi) in enumerate(columns):
             share = slice(cuts[b], cuts[b + 1])

@@ -73,6 +73,11 @@ class TestGeometries:
         with pytest.raises(ValueError):
             RadonGeometry(np.array([10.0, 5.0]), image_side=32)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_angles_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            RadonGeometry(np.array([0.0, bad]), 47, 32)
+
 
 class TestRadon:
     def test_zero_image_zero_sinogram(self):
@@ -166,6 +171,26 @@ class TestRadon:
             op.adjoint(np.zeros((3, 3)))
 
 
+def _reference_trapezoid_cdf(x, ramp, plateau_half):
+    """The footprint CDF in its plain masked form: the reference assembly's
+    own copy, so that it cannot move with `operators._trapezoid_cdf`."""
+    a = plateau_half + ramp
+    height = 1.0 / (a + plateau_half)
+    out = np.empty_like(x)
+    if ramp < 1e-12:
+        np.clip((x + a) / (2.0 * a), 0.0, 1.0, out=out)
+        return out
+    np.clip(x, -a, a, out=out)
+    x = out.copy()
+    left = x < -plateau_half
+    right = x > plateau_half
+    mid = ~(left | right)
+    out[left] = height * (x[left] + a) ** 2 / (2.0 * ramp)
+    out[mid] = height * (0.5 * ramp + (x[mid] + plateau_half))
+    out[right] = 1.0 - height * (a - x[right]) ** 2 / (2.0 * ramp)
+    return out
+
+
 def _coo_radon_matrix(geo):
     """The whole-matrix (row, column, value) assembly `_radon_matrix` replaced.
 
@@ -192,7 +217,7 @@ def _coo_radon_matrix(geo):
         for offset in range(n_touched + 1):
             b = first + offset
             edge = b - (n_bins - 1) / 2.0 - 0.5 - s
-            cdf = operators._trapezoid_cdf(edge, ramp, plateau_half)
+            cdf = _reference_trapezoid_cdf(edge, ramp, plateau_half)
             if prev_cdf is not None:
                 weight = cdf - prev_cdf
                 bin_idx = b - 1
@@ -267,13 +292,32 @@ class TestViewByViewAssembly:
         "axis-aligned": lambda: RadonGeometry(np.array([0.0, 90.0]), 47, 32),
         "one-view": lambda: make_sparse_view_geometry(1, 32),
         "just-covering": lambda: RadonGeometry(np.array([0.0, 30.0, 45.0, 60.0, 135.0]), 46, 32),
+        # box footprints at 0, 1e-11 and 90 degrees, ramps of 1.7e-11 at 1e-9
+        # and 179.999999999 degrees, a plateau of 5.6e-17 at 45 degrees
+        "cdf-branches": lambda: RadonGeometry([0, 1e-11, 1e-9, 45, 90, 179.999999999], 47, 32),
     }
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", sorted(GEOMETRIES))
     def test_bit_identical_to_whole_matrix_assembly(self, monkeypatch, kind, n_cpus):
+        self._check_against_whole_matrix(monkeypatch, self.GEOMETRIES[kind](), n_cpus,
+                                         reaches_off_detector=kind == "just-covering")
+
+    def test_lact128_bit_identical_to_whole_matrix_assembly(self, monkeypatch):
+        # the limited-angle acceptance benchmark's matrix
+        self._check_against_whole_matrix(monkeypatch, make_limited_angle_geometry(90, 90.0, 128, 183),
+                                         2, reaches_off_detector=False)
+
+    def test_cdf_branches_geometry_reaches_both_forms(self):
+        footprints = [operators._footprint(t) for t in np.radians(self.GEOMETRIES["cdf-branches"]().angles)]
+        ramps = sorted(a - plateau_half for a, plateau_half, _ in footprints)
+        # three below the box form's 1e-12 switch, three above it
+        assert ramps[:5] == pytest.approx([0.0, 5.6e-17, 1.7e-13, 1.7e-11, 1.7e-11], rel=0.1, abs=0)
+        assert ramps[5] > 0.7
+        assert min(plateau_half for _, plateau_half, _ in footprints) < 1e-16
+
+    def _check_against_whole_matrix(self, monkeypatch, geo, n_cpus, reaches_off_detector):
         _patch_cpus(monkeypatch, n_cpus)
-        geo = self.GEOMETRIES[kind]()
         op = RadonOperator(geo)
         want, off_detector = _coo_radon_matrix(geo)
         assert len(op._blocks) == n_cpus
@@ -283,7 +327,7 @@ class TestViewByViewAssembly:
         y = rng.standard_normal(op.range_shape)
         assert _same_bits(op.apply(x).ravel(), want @ x.ravel())
         assert _same_bits(op.adjoint(y).ravel(), sp.csr_matrix(want.T) @ y.ravel())
-        if kind == "just-covering":
+        if reaches_off_detector:
             assert off_detector > 0
         # the matrix is stored once: no transpose or other copy beside the blocks
         assert sum(block.nnz for block in op._blocks) == want.nnz
