@@ -15,10 +15,12 @@ memoryless baseline and the full method per outer-step budget K, in
 `<out>/steps<K>`. `run --variant` takes one of the six labels
 `dual=on|off,inject=sh|naive|none`, spelled in that order.
 
-The last three checks are implemented here and nowhere else, and each is one
-fixed check that takes no options: the acceptance suite runs the bare
-`dot-test`, `whiteness` and `certify` through `main`, so the settings and
-bounds below are the release criteria's.
+The last three checks run `operators.dot_test`,
+`spectral.whitening_statistics` and `solver.certify_pair`, and each is one
+fixed check that takes no options. What this module holds once is their
+settings and bounds: the acceptance suite runs the bare `dot-test`,
+`whiteness` and `certify` through `main`, so the constants below are the
+release criteria's.
 
 Exit status is 0 only if every run completed and every enabled assertion
 passed.

@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fidelity import CgConfig
-from .grid_core import channels, from_channels, save_grid, save_pgm, write_table
+from .grid_core import channels, from_channels, make_rng, save_grid, save_pgm, write_table
 from .metrics import PSNR_PEAK, psnr, ssim
 from .operators import (
     CartesianMask,
@@ -125,7 +125,7 @@ class ExperimentConfig:
         if self.n_views < 1:
             raise ValueError(f"n_views must be at least 1, got {self.n_views}")
         if self.detector_bins < 0:
-            raise ValueError("detector_bins and image_side must be positive, "
+            raise ValueError("detector_bins must be non-negative (0 for the derived default), "
                              f"got {self.detector_bins}")
         if not 0.0 < self.max_angle < 180.0:
             raise ValueError(f"max_angle must lie in (0, 180), got {self.max_angle}")
@@ -247,10 +247,6 @@ def write_config(path, cfg: ExperimentConfig) -> None:
 # --- measurement simulation ---------------------------------------------------
 
 
-def _rng_for(seed: int, role: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, role])))
-
-
 def build_operator(cfg: ExperimentConfig) -> LinearOperator:
     geometry = cfg.geometry()
     if isinstance(geometry, CartesianMask):
@@ -267,7 +263,7 @@ def simulate_measurements(op: LinearOperator, truth: np.ndarray, cfg: Experiment
                           seed: int) -> np.ndarray:
     y = op.apply(truth)
     if cfg.measurement_noise_std > 0:
-        noise_rng = _rng_for(seed, 2)
+        noise_rng = make_rng(seed, 2)
         noise = from_channels([noise_rng.standard_normal(c.shape) for c in channels(y)])
         y = y + cfg.measurement_noise_std * noise
     return y
@@ -290,6 +286,9 @@ class MetricRow:
 
 _METRIC_COLUMNS = ("task", "variant", "seed", "psnr", "ssim", "data_residual", "status")
 
+# what a successful row writes into its run directory
+_ROW_ARTIFACTS = ("recon.dcpg", "recon.pgm", "trace.csv", "spectral.csv", "config.resolved")
+
 _OPERATOR_CACHE: dict = {}
 
 
@@ -311,7 +310,7 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int) -> MetricRow:
         variant = VariantSpec.from_label(variant_label)
         recon, trace = run(
             op, y, cfg.make_denoiser(), cfg.schedule(), variant,
-            cfg.cg_config(), cfg.sh_config(), _rng_for(seed, 0), ground_truth=truth,
+            cfg.cg_config(), cfg.sh_config(), make_rng(seed, 0), ground_truth=truth,
         )
         row = MetricRow(
             task=cfg.task,
@@ -335,6 +334,8 @@ def run_row(cfg: ExperimentConfig, variant_label: str, seed: int) -> MetricRow:
                         float("nan"), time.perf_counter() - start,
                         status=f"error: {type(exc).__name__}: {exc}")
         with contextlib.suppress(OSError):  # the status line still records the failure
+            for name in _ROW_ARTIFACTS:  # an earlier run's would read as this run's
+                (run_dir / name).unlink(missing_ok=True)
             _write_error(run_dir, row, exc)
         return row
 

@@ -29,9 +29,11 @@ import numpy as np
 MAGIC = b"DCPG"
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator: identical seed gives an identical stream."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+def make_rng(*entropy: int) -> np.random.Generator:
+    """The package's one source of generators: identical entropy gives an
+    identical stream. `make_rng(seed)` is the stream of `PCG64(seed)`, and
+    `make_rng(seed, role)` a separate stream per role of one seed."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def available_cpus() -> int:

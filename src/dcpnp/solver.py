@@ -7,11 +7,11 @@ white noise, or nothing), (3) denoiser call at the scheduled noise level,
 (4) dual accumulation u += x - z. Switching the dual shift off and the
 injection off recovers the memoryless half-quadratic splitting baseline.
 
-`certify_fixed_point` drives `run` at a constant noise level, without
-injection, on convex instances with the exact Gaussian-prior denoiser,
-where the fixed point is known in closed form, and reports
-consensus/stationarity residuals (dual on) or the systematic offset from
-the true minimizer (dual off).
+`certify_pair` drives `run` at a constant noise level, without injection,
+on a convex instance with the exact Gaussian-prior denoiser, where the
+fixed point is known in closed form, once with the dual on and once with it
+off. It reports consensus/stationarity residuals (dual on) and the
+systematic offset from the true minimizer (dual off).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .fidelity import CgConfig, prox_data_consistency
-from .grid_core import channels, from_channels, make_rng, write_table
+from .grid_core import from_channels, make_rng, write_table
 from .metrics import PSNR_PEAK, psnr
 from .operators import DenseOperator, LinearOperator
 from .priors import Denoiser, GaussianPriorDenoiser, NoiseSchedule
@@ -134,20 +134,17 @@ class IterationTrace:
 
 def initialize(
     op: LinearOperator,
-    y: np.ndarray,
     rng: np.random.Generator,
     init_noise_std: float = 1.0,
 ) -> SolverState:
-    """Back-projected start, white-noise prior iterate, zero dual."""
-    x0 = op.adjoint(y)
-    if op.is_complex or np.iscomplexobj(x0):
-        x0 = x0.astype(np.complex128)
+    """White-noise prior iterate (two channels for a complex operator), zero
+    dual, and x starting as z: the first data step reads only z and u, and
+    its output replaces x before anything reads it."""
     if init_noise_std < 0:
         raise ValueError(f"init_noise_std must be nonnegative, got {init_noise_std}")
     z0 = from_channels([init_noise_std * rng.standard_normal(op.domain_shape)
-                        for _ in channels(x0)])
-    u0 = np.zeros_like(z0)
-    return SolverState(x=x0, z=z0, u=u0)
+                        for _ in range(2 if op.is_complex else 1)])
+    return SolverState(x=z0, z=z0, u=np.zeros_like(z0))
 
 
 def dual_update(state: SolverState) -> SolverState:
@@ -183,7 +180,7 @@ def run(
     when given, is called as on_iteration(k, state) after each dual update;
     a truthy return ends the loop after that iteration.
     """
-    state = initialize(op, y, rng, init_noise_std=sched.sigma_max)
+    state = initialize(op, rng, init_noise_std=sched.sigma_max)
     trace = IterationTrace()
     for k in range(sched.steps):
         sigma = sched.sigma(k)
@@ -247,7 +244,6 @@ class FixedPointCertificate:
     dual_balance: float
     error_vs_optimum: float
     prediction_error: float | None
-    x: np.ndarray
 
 
 def _dense_normal_solve(op: LinearOperator, rhs: np.ndarray, lam: float) -> np.ndarray:
@@ -265,19 +261,20 @@ def _dense_normal_solve(op: LinearOperator, rhs: np.ndarray, lam: float) -> np.n
     return prox_data_consistency(op, np.zeros(op.range_shape), rhs / lam, zero_u, cfg).x
 
 
-def certify_fixed_point(
+def certify_pair(
     op: LinearOperator,
     y: np.ndarray,
     denoiser: GaussianPriorDenoiser,
-    dual_coupling: bool,
     tol: float,
     max_iters: int,
-) -> FixedPointCertificate:
-    """Run `run` at the constant noise level sigma = 0.5, with base penalty
-    lam = 1, to convergence and certify it.
+) -> tuple[FixedPointCertificate, FixedPointCertificate, float]:
+    """Dual-on and dual-off certificates of one instance, plus the dual-off
+    bias over the dual-on error (how much the dual removes).
 
-    Requires the Gaussian-prior denoiser, whose proximal identity makes the
-    effective objective  ||Ax-y||^2 + lam_eff ||x-mu0||^2  explicit with
+    Each arm runs `run` at the constant noise level sigma = 0.5, with base
+    penalty lam = 1, until it stops moving or `max_iters` steps. Requires the
+    Gaussian-prior denoiser, whose proximal identity makes the effective
+    objective  ||Ax-y||^2 + lam_eff ||x-mu0||^2  explicit with
     lam_eff = lam sigma^2 / tau^2; the dual-off scheme instead settles at
     the closed-form biased point with shrinkage lam sigma^2/(tau^2+sigma^2).
     """
@@ -292,49 +289,46 @@ def certify_fixed_point(
     aty = op.adjoint(y)
     optimum = _dense_normal_solve(op, aty + lam_eff * mu0, lam_eff)
 
-    last: SolverState | None = None
-    converged = False
+    def certify(dual_coupling: bool) -> FixedPointCertificate:
+        last: SolverState | None = None
+        converged = False
 
-    def stop(k: int, state: SolverState) -> bool:
-        nonlocal last, converged
-        if dual_coupling:
-            converged = float(np.linalg.norm(state.x - state.z)) <= 0.1 * tol
-        elif last is not None:
-            # the consensus gap never vanishes here (that is the bias); the
-            # fixed point is reached when the iterates stop moving
-            moved = np.linalg.norm(state.x - last.x) + np.linalg.norm(state.z - last.z)
-            converged = bool(moved <= 0.01 * tol)
-        last = state
-        return converged
+        def stop(k: int, state: SolverState) -> bool:
+            nonlocal last, converged
+            if dual_coupling:
+                converged = float(np.linalg.norm(state.x - state.z)) <= 0.1 * tol
+            elif last is not None:
+                # the consensus gap never vanishes here (that is the bias); the
+                # fixed point is reached when the iterates stop moving
+                moved = np.linalg.norm(state.x - last.x) + np.linalg.norm(state.z - last.z)
+                converged = bool(moved <= 0.01 * tol)
+            last = state
+            return converged
 
-    # a constant schedule holds sigma fixed; run's penalty is cg.lam / sigma^2
-    n = op.domain_shape[0] * op.domain_shape[1]
-    run(op, y, denoiser, NoiseSchedule(sigma, sigma, max_iters),
-        VariantSpec(dual_coupling, "none"), CgConfig(max(200, 10 * n), 1e-13, lam * sigma**2),
-        ShConfig(), make_rng(0), on_iteration=stop)
-    x, z, u = last.x, last.z, last.u
+        # a constant schedule holds sigma fixed; run's penalty is cg.lam / sigma^2
+        n = op.domain_shape[0] * op.domain_shape[1]
+        run(op, y, denoiser, NoiseSchedule(sigma, sigma, max_iters),
+            VariantSpec(dual_coupling, "none"), CgConfig(max(200, 10 * n), 1e-13, lam * sigma**2),
+            ShConfig(), make_rng(0), on_iteration=stop)
+        x, z, u = last.x, last.z, last.u
 
-    grad_f = op.adjoint(op.apply(x) - y)
-    consensus = float(np.linalg.norm(x - z))
-    stationarity = float(np.linalg.norm(grad_f + lam_eff * (x - mu0)))
-    dual_balance = float(np.linalg.norm(grad_f + lam * u))
-    error = float(np.linalg.norm(x - optimum))
+        grad_f = op.adjoint(op.apply(x) - y)
+        prediction_error = None
+        if not dual_coupling:
+            shrink = lam * sigma**2 / (tau**2 + sigma**2)
+            predicted = _dense_normal_solve(op, aty + shrink * mu0, shrink)
+            prediction_error = float(np.linalg.norm(x - predicted))
+        return FixedPointCertificate(
+            converged=converged,
+            consensus=float(np.linalg.norm(x - z)),
+            stationarity=float(np.linalg.norm(grad_f + lam_eff * (x - mu0))),
+            dual_balance=float(np.linalg.norm(grad_f + lam * u)),
+            error_vs_optimum=float(np.linalg.norm(x - optimum)),
+            prediction_error=prediction_error,
+        )
 
-    prediction_error = None
-    if not dual_coupling:
-        shrink = lam * sigma**2 / (tau**2 + sigma**2)
-        predicted = _dense_normal_solve(op, aty + shrink * mu0, shrink)
-        prediction_error = float(np.linalg.norm(x - predicted))
-
-    return FixedPointCertificate(
-        converged=converged,
-        consensus=consensus,
-        stationarity=stationarity,
-        dual_balance=dual_balance,
-        error_vs_optimum=error,
-        prediction_error=prediction_error,
-        x=x,
-    )
+    on, off = certify(True), certify(False)
+    return on, off, off.error_vs_optimum / max(on.error_vs_optimum, 1e-300)
 
 
 def certification_instance(seed: int, n: int = 16):
@@ -345,18 +339,3 @@ def certification_instance(seed: int, n: int = 16):
     op = DenseOperator(rng.standard_normal((n, n)) / math.sqrt(n))
     y = op.apply(rng.standard_normal((n, 1)))
     return op, y, GaussianPriorDenoiser(rng.standard_normal((n, 1)), tau=1.0)
-
-
-def certify_pair(
-    op: LinearOperator,
-    y: np.ndarray,
-    denoiser: GaussianPriorDenoiser,
-    tol: float,
-    max_iters: int,
-) -> tuple[FixedPointCertificate, FixedPointCertificate, float]:
-    """Dual-on and dual-off certificates of one instance at lam = 1, sigma = 0.5,
-    plus the dual-off bias over the dual-on error (how much the dual removes)."""
-    on, off = (certify_fixed_point(op, y, denoiser, dual_coupling=dual, tol=tol,
-                                   max_iters=max_iters)
-               for dual in (True, False))
-    return on, off, off.error_vs_optimum / max(on.error_vs_optimum, 1e-300)

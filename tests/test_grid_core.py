@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcpnp import grid_core
-from dcpnp.experiment import _rng_for, default_config, simulate_measurements
+from dcpnp.experiment import default_config, simulate_measurements
 from dcpnp.grid_core import (
     channels,
     fork_join,
@@ -253,6 +253,34 @@ def test_only_grid_core_uses_the_pool():
     assert calls == []
 
 
+def test_only_grid_core_seeds_generators():
+    """Every stream comes from `make_rng`, so one edit there moves them all."""
+    calls = []
+    for path in sorted(Path(grid_core.__file__).parent.glob("*.py")):
+        if path.name == "grid_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("Generator", "PCG64", "SeedSequence", "default_rng"):
+                    calls.append(f"{path.name}:{node.lineno} {name}(")
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 5, np.int64(5), 10_005, 2**40])
+def test_make_rng_streams_are_pinned(seed):
+    """One seed is PCG64's own seeding; a role is a second entropy word."""
+    def draws(bits):
+        return np.random.Generator(bits).standard_normal(8)
+
+    assert np.array_equal(make_rng(seed).standard_normal(8), draws(np.random.PCG64(seed)))
+    for role in (0, 2):
+        want = draws(np.random.PCG64(np.random.SeedSequence([seed, role])))
+        assert np.array_equal(make_rng(seed, role).standard_normal(8), want)
+    assert not np.array_equal(make_rng(seed, 0).standard_normal(8),
+                              make_rng(seed, 2).standard_normal(8))
+
+
 def test_grid_core_imports_alone():
     """A handshake script (`ExternalDenoiser`) imports `dcpnp.grid_core` in a
     fresh process on every call, so that import loads no scipy and no other
@@ -389,9 +417,7 @@ class TestChannelDrawOrder:
         assert self._same_bits(got, v + 0.7 * self._twin_draws(make_rng(4)))
 
     def test_initialize(self):
-        op = self._operator()
-        y = op.apply(self._twin_draws(make_rng(5)))
-        state = initialize(op, y, make_rng(6), init_noise_std=1.3)
+        state = initialize(self._operator(), make_rng(6), init_noise_std=1.3)
         assert self._same_bits(state.z, self._twin_draws(make_rng(6), 1.3))
 
     def test_simulate_measurements(self):
@@ -399,7 +425,7 @@ class TestChannelDrawOrder:
         op = self._operator()
         truth = self._twin_draws(make_rng(7))
         got = simulate_measurements(op, truth, cfg, seed=3)
-        want = op.apply(truth) + 0.05 * self._twin_draws(_rng_for(3, 2))
+        want = op.apply(truth) + 0.05 * self._twin_draws(make_rng(3, 2))
         assert self._same_bits(got, want)
 
     def test_dot_test(self):

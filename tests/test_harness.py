@@ -218,7 +218,7 @@ class TestConfig:
         ({"n_views": 0}, "n_views must be at least 1"),
         ({"task": "lact", "n_views": 0}, "n_views must be at least 1"),
         ({"image_side": 16, "detector_bins": 10}, "detector too narrow"),
-        ({"detector_bins": -5}, "detector_bins and image_side must be positive"),
+        ({"detector_bins": -5}, r"detector_bins must be non-negative \(0 for the derived"),
         ({"task": "lact", "max_angle": 0.0}, "max_angle must lie in"),
         ({"task": "lact", "max_angle": 180.0}, "max_angle must lie in"),
         ({"tv_weight": math.nan}, "weight must be nonnegative and finite"),
@@ -227,7 +227,8 @@ class TestConfig:
         ({"lam0": math.inf}, "penalty must be nonnegative and finite"),
         ({"sigma_max": math.inf}, "sigma_max < inf"),
         ({"task": "mri", "n_views": 0}, "n_views must be at least 1"),
-        ({"task": "mri", "detector_bins": -5}, "detector_bins and image_side must be positive"),
+        ({"task": "mri", "detector_bins": -5},
+         r"detector_bins must be non-negative \(0 for the derived"),
         ({"task": "mri", "max_angle": math.nan}, "max_angle must lie in"),
         ({"task": "mri", "max_angle": 180.0}, "max_angle must lie in"),
         ({"max_angle": math.nan}, "max_angle must lie in"),
@@ -331,6 +332,16 @@ class TestRunExperiment:
         [row] = run_experiment(cfg)
         assert row.status == "ok"
         assert not error.exists()
+
+    def test_failed_rerun_removes_the_earlier_artifacts(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        run_dir = Path(cfg.out_dir) / "svct_dual-on_inject-sh_seed0"
+        [row] = run_experiment(cfg)
+        assert row.status == "ok" and (run_dir / "trace.csv").exists()
+        monkeypatch.setattr(experiment, "run", lambda *args, **kwargs: 1 / 0)
+        [row] = run_experiment(cfg)
+        assert row.status.startswith("error:")
+        assert sorted(p.name for p in run_dir.iterdir()) == ["error.txt"]
 
     def test_mri_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="mri", image_side=32, seeds=(0,), steps=3)
