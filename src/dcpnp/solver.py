@@ -108,8 +108,6 @@ class IterationRecord:
     psnr: float | None = None
     injected_energy: float | None = None
     flatness_before: float | None = None
-    flatness_after: float | None = None
-    peak_to_floor: float | None = None
 
 
 @dataclass
@@ -117,10 +115,7 @@ class IterationTrace:
     records: list[IterationRecord] = field(default_factory=list)
 
     TRACE_COLUMNS = tuple(f.name for f in fields(IterationRecord))
-    SPECTRAL_COLUMNS = (
-        "k", "sigma", "injected_energy", "flatness_before", "flatness_after",
-        "peak_to_floor",
-    )
+    SPECTRAL_COLUMNS = ("k", "sigma", "injected_energy", "flatness_before")
 
     def _write(self, path, columns) -> None:
         write_table(path, columns, ([getattr(r, col) for col in columns] for r in self.records))

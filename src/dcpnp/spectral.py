@@ -53,19 +53,18 @@ class ShConfig:
 
 @dataclass
 class SpectralReport:
-    """Diagnostics for one homogenization call.
+    """The two pre-injection statistics of one homogenization call.
 
-    `flatness_*` is the coefficient of variation of the smoothed effective
-    PSD (residual before injection, residual-plus-noise after); lower means
-    whiter. `peak_to_floor` is the max/min ratio of the residual's smoothed
-    PSD. For complex grids the statistics average the two channels while
-    `injected_energy` totals them.
+    `injected_energy` is the injected noise's total energy sum |n|^2 over
+    all pixels, i.e. H * W times its per-pixel variance; for complex grids
+    it totals the two channels. `flatness_before` is the coefficient of
+    variation of the smoothed PSD of the bootstrap residual v - z_prev
+    (lower means whiter), averaged over the channels. It describes that
+    residual, not the error of the denoiser's input against the truth.
     """
 
     injected_energy: float
     flatness_before: float
-    flatness_after: float
-    peak_to_floor: float
 
 
 def estimate_psd(r: np.ndarray, cfg: ShConfig) -> np.ndarray:
@@ -127,16 +126,6 @@ def _coefficient_of_variation(m, scratch=None):
     return float(np.sqrt(deviation.sum() / m.size) / mean)
 
 
-def _peak_to_floor(psd: np.ndarray) -> float:
-    return float(np.max(psd) / max(float(np.min(psd)), 1e-300))
-
-
-def _real_alias(buffer):
-    """A contiguous real grid of `buffer`'s shape over the first half of its
-    complex memory, for reusing a spectrum buffer once it is spent."""
-    return buffer.view(np.float64).reshape(-1)[: buffer.size].reshape(buffer.shape)
-
-
 def homogenize(
     v: np.ndarray,
     z_prev: np.ndarray,
@@ -144,7 +133,7 @@ def homogenize(
     cfg: ShConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, SpectralReport]:
-    """Spectrally homogenized copy of v plus the per-call diagnostics.
+    """Spectrally homogenized copy of v plus its pre-injection statistics.
 
     Fills only the spectral valleys of the bootstrap residual, never
     removing energy where the residual already exceeds the white target.
@@ -176,8 +165,6 @@ def homogenize(
     stats = [None] * c
 
     def run(k: int) -> None:
-        # r is transformed once: the effective PSD of r + noise is taken
-        # from F(r) + S, where S is the spectrum the noise is synthesized from
         spectrum, synth, work, psd = spectra[k], synthesized[k], scratch[k], psds[k]
         # each channel is copied into its complex buffer and transformed in
         # place: given a real input, `fft2(out=)` allocates the complex copy
@@ -191,18 +178,14 @@ def homogenize(
         deficit = np.maximum(0.0, np.subtract(target, psd, out=work), out=work)
         injected = deficit.sum()
         synth *= np.sqrt(deficit, out=deficit)
-        spectrum += synth  # before `synth` is inverted in place
         np.add(v_parts[k], _real_field(synth, work), out=out_parts[k])
-        effective = _smoothed_periodogram(spectrum, kernel, work, _real_alias(synth))
-        stats[k] = injected, flat_before, _coefficient_of_variation(effective, work)
+        stats[k] = injected, flat_before
 
     fork_join(run, range(c))
-    injected, flat_before, flat_after = zip(*stats)
+    injected, flat_before = zip(*stats)
     report = SpectralReport(
         injected_energy=float(sum(injected) / r.size),
         flatness_before=sum(flat_before) / c,
-        flatness_after=sum(flat_after) / c,
-        peak_to_floor=_peak_to_floor(psds.mean(axis=0)),
     )
     return out, report
 
@@ -223,7 +206,9 @@ def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:
     homogenized half-level white residuals over the white target (near 1
     when whitening works), and the mean flatness of homogenized plane-wave
     streaks over that of naively injected ones (well below 1 when
-    homogenization whitens what naive noise leaves coloured).
+    homogenization whitens what naive noise leaves coloured). Both arms are
+    scored the same way: the coefficient of variation of `estimate_psd` of
+    the injected grid.
     """
     sigma = 1.0
     cfg = ShConfig(7)
@@ -245,8 +230,8 @@ def whitening_statistics(side: int, n_seeds: int) -> tuple[float, float, float]:
     cv_sh, cv_naive = [], []
     for seed in range(n_seeds):
         rng = make_rng(10_000 + seed)
-        _, report = homogenize(streaks, np.zeros_like(streaks), sigma, cfg, rng)
-        cv_sh.append(report.flatness_after)
+        homogenized, _ = homogenize(streaks, np.zeros_like(streaks), sigma, cfg, rng)
+        cv_sh.append(_coefficient_of_variation(estimate_psd(homogenized, cfg)))
         cv_naive.append(_coefficient_of_variation(estimate_psd(naive_inject(streaks, sigma, rng), cfg)))
     return (float(mean_psd.min() / target), float(mean_psd.max() / target),
             float(np.mean(cv_sh) / np.mean(cv_naive)))

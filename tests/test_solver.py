@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from dcpnp import solver
 from dcpnp.cli import CERTIFY_MAX_ITERS, CERTIFY_TOL
@@ -238,6 +239,25 @@ class TestRunLoop:
         run(op, y, cfg.make_denoiser(), cfg.schedule(), VariantSpec.from_label("dual=on,inject=sh"),
             cfg.cg_config(), cfg.sh_config(), make_rng(0))
         assert sum(counted) == 9 * 5
+
+    @pytest.mark.parametrize("task, channels", [("svct", 1), ("mri", 2)])
+    def test_homogenization_smooths_one_periodogram_per_channel(self, monkeypatch, task,
+                                                                channels):
+        # SH smooths only the residual's periodogram; nothing after the
+        # injection is measured
+        cfg = default_config(task, image_side=32, steps=5, tv_iters=10)
+        op = build_operator(cfg)
+        y = simulate_measurements(op, build_phantom(cfg, 0), cfg, 0)
+        convolved, homogenized = [], []
+        convolve, homogenize = ndimage.convolve, solver.homogenize
+        monkeypatch.setattr(ndimage, "convolve",
+                            lambda *a, **k: convolved.append(1) or convolve(*a, **k))
+        monkeypatch.setattr(solver, "homogenize",
+                            lambda *a: homogenized.append(1) or homogenize(*a))
+        run(op, y, cfg.make_denoiser(), cfg.schedule(), VariantSpec.from_label("dual=on,inject=sh"),
+            cfg.cg_config(), cfg.sh_config(), make_rng(0))
+        assert len(homogenized) == 5
+        assert len(convolved) == channels * len(homogenized)
 
     def test_seeded_run_deterministic(self):
         op, truth, y = small_problem(12, n=16)
